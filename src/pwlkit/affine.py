@@ -17,6 +17,33 @@ def as_vector(v, name="vector"):
     return a
 
 
+def as_points(points, dim):
+    """Coerce to an (N, dim) float array.
+
+    A 1-D input is N points when ``dim`` is 1 and a single point otherwise.
+    """
+    points = np.asarray(points, dtype=float)
+    if points.ndim == 1:
+        points = points[:, None] if dim == 1 else points[None, :]
+    if points.shape[1] != dim:
+        raise DimensionMismatchError(dim, points.shape[1], what="points")
+    return points
+
+
+def mesh_points(axes):
+    """Every point of the product of per-axis coordinates, last axis fastest."""
+    mesh = np.meshgrid(*axes, indexing="ij")
+    return np.column_stack([m.ravel() for m in mesh])
+
+
+def grid_points(lo, hi, density):
+    """Full lattice grid over a box, ``density`` points per axis."""
+    lo = np.atleast_1d(np.asarray(lo, dtype=float))
+    hi = np.atleast_1d(np.asarray(hi, dtype=float))
+    return mesh_points([np.linspace(lo[i], hi[i], int(density))
+                        for i in range(lo.shape[0])])
+
+
 class AffineFunction:
     """A linear map plus bias, ``value(x) = jacobian . x + bias``."""
 
@@ -43,12 +70,7 @@ class AffineFunction:
 
     def values(self, points):
         """Evaluate at an (N, n) array of points."""
-        points = np.asarray(points, dtype=float)
-        if points.ndim == 1:
-            points = points[:, None] if self.dim == 1 else points[None, :]
-        if points.shape[1] != self.dim:
-            raise DimensionMismatchError(self.dim, points.shape[1], what="points")
-        return points @ self.jacobian + self.bias
+        return as_points(points, self.dim) @ self.jacobian + self.bias
 
     def scaled(self, c):
         return AffineFunction(c * self.jacobian, c * self.bias)
@@ -63,14 +85,6 @@ class AffineFunction:
 
     def __repr__(self):
         return f"AffineFunction(jacobian={self.jacobian.tolist()}, bias={self.bias})"
-
-    def same_as(self, other, tol=0.0):
-        """Coefficient-wise equality within ``tol``."""
-        return (
-            self.dim == other.dim
-            and np.all(np.abs(self.jacobian - other.jacobian) <= tol)
-            and abs(self.bias - other.bias) <= tol
-        )
 
 
 def affine_zero(dim):

@@ -15,10 +15,11 @@ import sys
 
 import numpy as np
 
+from .affine import mesh_points
 from .conventional import ConventionalPWL, check_consistent_variation, check_continuity
 from .errors import (
     BudgetExceededError,
-    DegenerateSplitError,
+    DcSizeError,
     DiscontinuousModelError,
     NotCplrRepresentableError,
     ParseError,
@@ -36,7 +37,6 @@ from .network import (
     train_sgd,
 )
 from .transforms import (
-    DCForm,
     check_equivalence,
     cplr_from_consistent,
     dc_from_model,
@@ -95,8 +95,7 @@ def _parse_grid(spec):
             raise UsageError(f"bad grid range {part!r}")
         n = int(np.floor((b - a) / step + 0.5)) + 1
         axes.append(a + step * np.arange(n))
-    mesh = np.meshgrid(*axes, indexing="ij")
-    return np.column_stack([m.ravel() for m in mesh])
+    return mesh_points(axes)
 
 
 def _read_config(path):
@@ -193,15 +192,11 @@ def cmd_fit(args):
                 terms = len(model.bases)
             else:
                 raise UsageError(f"unknown fit kind {args.kind!r}")
-        except DegenerateSplitError as e:
-            return _fail(EXIT_FIT, f"fit failed: {e}")
         except PwlError as e:
             return _fail(EXIT_FIT, f"fit failed: {e}")
         final = trace.final
-        n_val = max(1, int(round(cfg.validation_split * data.size)))
-        n_train = data.size - n_val if cfg.validation_split > 0 else data.size
-        if cfg.validation_split == 0:
-            n_val = n_train
+        n_train = trace.train_size
+        n_val = trace.validation_size or n_train
         train_sse, val_sse = final.train_sse, final.validation_sse
         trace_text = trace.to_csv()
         seed = cfg.seed
@@ -291,18 +286,21 @@ def cmd_convert(args):
             target = lattice_from_conventional(model, probe_density=args.density)
         elif target_kind == "cplr":
             if isinstance(model, HingeModel):
-                target = _cplr_from_hinges(model)
+                target = CplrModel.from_hinges(model)
             elif isinstance(model, ConventionalPWL):
                 target = cplr_from_consistent(model)
             else:
                 return _fail(EXIT_INPUT,
                              "canonical conversion needs a conventional or "
                              f"hinge model; supported paths: {_conversion_help()}")
-        elif target_kind == "dc":
+        elif target_kind in ("dc", "ghh"):
+            if isinstance(model, PwlNetwork):
+                return _fail(EXIT_INPUT,
+                             "networks have no difference-of-convex lowering; "
+                             f"supported paths: {_conversion_help()}")
             target = dc_from_model(model)
-        elif target_kind == "ghh":
-            target = ghh_from_dc(model if isinstance(model, DCForm)
-                                 else dc_from_model(model))
+            if target_kind == "ghh":
+                target = ghh_from_dc(target)
         elif target_kind == "hh":
             if not isinstance(model, CplrModel):
                 return _fail(EXIT_INPUT,
@@ -351,21 +349,6 @@ def _conversion_help():
             "any->dc, any->ghh")
 
 
-def _cplr_from_hinges(m):
-    """Rewrite ``max(u, 0) = (u + |u|) / 2`` hinge by hinge."""
-    alpha0 = np.array(m.alpha0)
-    beta0 = m.beta0
-    terms = []
-    for w, alpha, beta in m.hinges:
-        alpha0 = alpha0 + (w / 2.0) * alpha
-        beta0 = beta0 + (w / 2.0) * beta
-        eta = 1 if w >= 0 else -1
-        scale = abs(w) / 2.0
-        if scale > 0:
-            terms.append((eta, scale * alpha, scale * beta))
-    return CplrModel(alpha0, beta0, terms)
-
-
 def cmd_validate(args):
     try:
         model = load_model(args.model)
@@ -407,10 +390,7 @@ def cmd_regions(args):
         return _fail(EXIT_INPUT, "region analysis needs a network model")
     box = _parse_box(args.box, model.in_dim) if args.box else \
         (np.full(model.in_dim, -1.0), np.full(model.in_dim, 1.0))
-    try:
-        result = count_regions(model, box, method=args.method)
-    except BudgetExceededError as e:
-        return _fail(EXIT_BUDGET, str(e))
+    result = count_regions(model, box, method=args.method)
     pairs = [("count", result.count), ("method", result.method)]
     if result.bound is not None:
         pairs.append(("arrangement-bound", result.bound))
@@ -547,7 +527,7 @@ def main(argv=None):
     except UsageError as e:
         print(f"usage error: {e}", file=sys.stderr)
         return EXIT_USAGE
-    except BudgetExceededError as e:
+    except (BudgetExceededError, DcSizeError) as e:
         print(str(e), file=sys.stderr)
         return EXIT_BUDGET
 

@@ -16,7 +16,7 @@ from scipy.linalg import null_space
 from scipy.optimize import linprog
 from scipy.stats import qmc
 
-from .affine import as_vector
+from .affine import as_points, as_vector
 from .errors import (
     CoverageGapError,
     DimensionMismatchError,
@@ -274,11 +274,7 @@ class ConventionalPWL:
         return self.pieces[i].value(np.atleast_1d(np.asarray(x, dtype=float)))
 
     def values(self, points):
-        points = np.asarray(points, dtype=float)
-        if points.ndim == 1:
-            points = points[:, None] if self.dimension == 1 else points[None, :]
-        if points.shape[1] != self.dimension:
-            raise DimensionMismatchError(self.dimension, points.shape[1], what="points")
+        points = as_points(points, self.dimension)
         piece_vals = np.column_stack([p.values(points) for p in self.pieces])
         member = np.column_stack([r.contains_many(points) for r in self.regions])
         member_tol = None

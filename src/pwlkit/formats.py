@@ -117,18 +117,20 @@ def _int(text, reader):
 # Writers
 # ---------------------------------------------------------------------------
 
+def _write_halfspaces(region, out):
+    for h in region.halfspaces:
+        out.append(f"H: normal={_fmt_vec(h.normal)} offset={_fmt(h.offset)} "
+                   f"closed={1 if h.closed else 0}")
+
+
 def _write_conventional(m):
     out = [f"pwl-conventional v1 dim={m.dimension} pieces={m.piece_count}"]
     for piece, region in zip(m.pieces, m.regions):
         out.append(f"J={_fmt_vec(piece.jacobian)} b={_fmt(piece.bias)}")
-        for h in region.halfspaces:
-            out.append(f"H: normal={_fmt_vec(h.normal)} offset={_fmt(h.offset)} "
-                       f"closed={1 if h.closed else 0}")
+        _write_halfspaces(region, out)
     if m.domain is not None:
         out.append("domain")
-        for h in m.domain.halfspaces:
-            out.append(f"H: normal={_fmt_vec(h.normal)} offset={_fmt(h.offset)} "
-                       f"closed={1 if h.closed else 0}")
+        _write_halfspaces(m.domain, out)
     return "\n".join(out) + "\n"
 
 
@@ -269,6 +271,15 @@ def serialize(model):
 # Readers
 # ---------------------------------------------------------------------------
 
+def _read_halfspaces(r):
+    hs = []
+    while r.peek() is not None and r.peek().startswith("H:"):
+        hf = _fields(r.next(), r)
+        hs.append(Halfspace(_floats(hf["normal"], r), _float(hf["offset"], r),
+                            closed=_int(hf["closed"], r) == 1))
+    return hs
+
+
 def _read_conventional(r, fields):
     dim = _int(fields.get("dim", ""), r)
     pieces_n = _int(fields.get("pieces", ""), r)
@@ -277,23 +288,14 @@ def _read_conventional(r, fields):
         line = r.next("J=")
         f = dict(tok.split("=", 1) for tok in line.split())
         pieces.append(AffineFunction(_floats(f["J"], r), _float(f["b"], r)))
-        hs = []
-        while r.peek() is not None and r.peek().startswith("H:"):
-            hf = _fields(r.next(), r)
-            hs.append(Halfspace(_floats(hf["normal"], r), _float(hf["offset"], r),
-                                closed=_int(hf["closed"], r) == 1))
+        hs = _read_halfspaces(r)
         if not hs:
             r.error(f"piece {label} has no halfspaces")
         regions.append(Region(hs, label))
     domain = None
     if r.peek() == "domain":
         r.next()
-        hs = []
-        while r.peek() is not None and r.peek().startswith("H:"):
-            hf = _fields(r.next(), r)
-            hs.append(Halfspace(_floats(hf["normal"], r), _float(hf["offset"], r),
-                                closed=_int(hf["closed"], r) == 1))
-        domain = Region(hs, -1)
+        domain = Region(_read_halfspaces(r), -1)
     return ConventionalPWL(dim, regions, pieces, domain=domain)
 
 
@@ -455,8 +457,6 @@ _READERS = {
     "pwl-net": _read_network,
 }
 
-MODEL_KINDS = tuple(sorted(k.replace("pwl-", "") for k in _READERS))
-
 
 def deserialize(text):
     """Parse any supported model from its text format."""
@@ -494,9 +494,3 @@ def write_text_atomic(path, text):
             os.unlink(tmp)
         raise
 
-
-def model_kind(model):
-    for cls, writer in _WRITERS:
-        if isinstance(model, cls):
-            return writer(model).split()[0].replace("pwl-", "")
-    raise TypeError(f"unknown model type {type(model).__name__}")

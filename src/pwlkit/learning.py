@@ -125,7 +125,11 @@ class TraceRecord:
 
 @dataclass
 class FitTrace:
+    """Per-step record of a fit, plus how many rows it trained and validated on."""
+
     records: list = field(default_factory=list)
+    train_size: int = field(default=0, init=False)
+    validation_size: int = field(default=0, init=False)
 
     def add(self, term_count, train_sse, validation_sse, action):
         self.records.append(TraceRecord(len(self.records), int(term_count),
@@ -226,6 +230,25 @@ def _split_indices(n_samples, fraction, rng):
     perm = rng.permutation(n_samples)
     n_val = max(1, int(round(fraction * n_samples)))
     return np.sort(perm[n_val:]), np.sort(perm[:n_val])
+
+
+def _fit_setup(data, cfg):
+    """Start of every grower: config, seeded rng, empty trace, train and
+    validation rows ``(Xt, yt, Xv, yv)``."""
+    cfg = cfg or FitConfig()
+    rng = np.random.default_rng(cfg.seed)
+    train_idx, val_idx = _split_indices(data.size, cfg.validation_split, rng)
+    trace = FitTrace()
+    trace.train_size, trace.validation_size = len(train_idx), len(val_idx)
+    X, y = data.inputs, data.targets
+    return (cfg, rng, trace, X[train_idx], y[train_idx], X[val_idx], y[val_idx])
+
+
+def _validation_sse(predict, Xv, yv, train_sse):
+    """SSE of ``predict`` on the validation rows; the train SSE without any."""
+    if not len(yv):
+        return train_sse
+    return float(np.sum((predict(Xv) - yv) ** 2))
 
 
 # ---------------------------------------------------------------------------
@@ -431,19 +454,13 @@ def fit_hh(data, cfg=None):
     replacement that lowers the joint SSE.  Growth stops at the term
     budget or when a round fails to improve by the configured tolerance.
     """
-    cfg = cfg or FitConfig()
-    rng = np.random.default_rng(cfg.seed)
-    X, y = data.inputs, data.targets
-    train_idx, val_idx = _split_indices(data.size, cfg.validation_split, rng)
-    Xt, yt = X[train_idx], y[train_idx]
-    Xv, yv = X[val_idx], y[val_idx]
+    cfg, rng, trace, Xt, yt, Xv, yv = _fit_setup(data, cfg)
     n = data.dim
-    trace = FitTrace()
 
     directions = []
     theta, sse = _refit_hinges(Xt, yt, directions, cfg.ridge)
     model = _hinge_model(n, theta, directions)
-    val_sse = float(np.sum((model.values(Xv) - yv) ** 2)) if len(val_idx) else sse
+    val_sse = _validation_sse(model.values, Xv, yv, sse)
     trace.add(0, sse, val_sse, "affine")
 
     for _ in range(cfg.max_terms):
@@ -500,7 +517,7 @@ def fit_hh(data, cfg=None):
                 break
 
         model = _hinge_model(n, theta, directions)
-        val_sse = float(np.sum((model.values(Xv) - yv) ** 2)) if len(val_idx) else sse
+        val_sse = _validation_sse(model.values, Xv, yv, sse)
         trace.add(len(directions), sse, val_sse, "add-hinge")
 
     model = _hinge_model(n, theta, directions)
@@ -548,25 +565,17 @@ def fit_ahh(data, cfg=None):
     the lowest SSE.  Backward pass: greedily delete bases while deletion
     improves validation SSE.  Returns the model, the trace, and the tree.
     """
-    cfg = cfg or FitConfig()
-    rng = np.random.default_rng(cfg.seed)
-    X, y = data.inputs, data.targets
-    train_idx, val_idx = _split_indices(data.size, cfg.validation_split, rng)
-    Xt, yt = X[train_idx], y[train_idx]
-    Xv, yv = X[val_idx], y[val_idx]
+    cfg, _rng, trace, Xt, yt, Xv, yv = _fit_setup(data, cfg)
     n = data.dim
-    trace = FitTrace()
 
     bases: list[AhhBasis] = []
     tree: list[AhhTreeNode] = []
     theta, sse = _ahh_refit(Xt, yt, bases, cfg.ridge)
 
-    def val_sse_of(bs, th):
-        if not len(val_idx):
-            return float(np.sum((_ahh_columns(Xt, bs) @ th - yt) ** 2))
-        return float(np.sum((_ahh_columns(Xv, bs) @ th - yv) ** 2))
+    def val_sse_of(bs, th, train_sse):
+        return _validation_sse(lambda Z: _ahh_columns(Z, bs) @ th, Xv, yv, train_sse)
 
-    trace.add(0, sse, val_sse_of(bases, theta), "intercept")
+    trace.add(0, sse, val_sse_of(bases, theta, sse), "intercept")
 
     while len(bases) + 2 <= cfg.max_terms:
         B = _ahh_columns(Xt, bases)
@@ -594,7 +603,7 @@ def fit_ahh(data, cfg=None):
                 if np.isfinite(scan[i]) and (best is None or scan[i] < best[0] - 1e-15):
                     best = (float(scan[i]), parent, v, float(knots[i]))
         if best is None or best[0] > sse - cfg.tolerance:
-            trace.add(len(bases), sse, val_sse_of(bases, theta), "stop-no-progress")
+            trace.add(len(bases), sse, val_sse_of(bases, theta, sse), "stop-no-progress")
             break
         _, parent, v, knot = best
         parent_factors = () if parent < 0 else bases[parent].factors
@@ -602,7 +611,7 @@ def fit_ahh(data, cfg=None):
                 AhhBasis(parent_factors + ((-1, v, knot),))]
         th, s = _ahh_refit(Xt, yt, bases + pair, cfg.ridge)
         if s > sse - cfg.tolerance:
-            trace.add(len(bases), sse, val_sse_of(bases, theta), "stop-no-progress")
+            trace.add(len(bases), sse, val_sse_of(bases, theta, sse), "stop-no-progress")
             break
         for delta, child in zip((+1, -1), pair):
             bases.append(child)
@@ -610,16 +619,16 @@ def fit_ahh(data, cfg=None):
                                     parent_factors if parent >= 0 else None,
                                     delta, v, knot))
         theta, sse = th, s
-        trace.add(len(bases), sse, val_sse_of(bases, theta), "add-pair")
+        trace.add(len(bases), sse, val_sse_of(bases, theta, sse), "add-pair")
 
     # backward pruning on validation error
-    current_val = val_sse_of(bases, theta)
+    current_val = val_sse_of(bases, theta, sse)
     while bases:
         best = None   # (val_sse, index, theta, train_sse)
         for k in range(len(bases)):
             trial = bases[:k] + bases[k + 1 :]
             th, s = _ahh_refit(Xt, yt, trial, cfg.ridge)
-            vs = val_sse_of(trial, th)
+            vs = val_sse_of(trial, th, s)
             if best is None or vs < best[0]:
                 best = (vs, k, th, s)
         if best is None or best[0] >= current_val:
@@ -645,10 +654,16 @@ def _sbf_column(X, gamma, zeta):
     return np.maximum(1.0 - np.abs(X - zeta) @ gamma, 0.0)
 
 
+def _sbf_columns(X, bases):
+    if not bases:
+        return np.empty((X.shape[0], 0))
+    return np.column_stack([_sbf_column(X, g, z) for g, z in bases])
+
+
 def _sbf_refit(X, y, bases, ridge):
     if not bases:
         return np.empty(0), float(np.sum(y ** 2))
-    C = np.column_stack([_sbf_column(X, g, z) for g, z in bases])
+    C = _sbf_columns(X, bases)
     theta = least_squares(C, y, ridge)
     return theta, float(np.sum((C @ theta - y) ** 2))
 
@@ -661,42 +676,26 @@ def fit_sbf(data, cfg=None):
     over a geometric grid, scoring each candidate by the SSE after a full
     weight refit.
     """
-    cfg = cfg or FitConfig()
-    rng = np.random.default_rng(cfg.seed)
-    X, y = data.inputs, data.targets
-    train_idx, val_idx = _split_indices(data.size, cfg.validation_split, rng)
-    Xt, yt = X[train_idx], y[train_idx]
-    Xv, yv = X[val_idx], y[val_idx]
+    cfg, _rng, trace, Xt, yt, Xv, yv = _fit_setup(data, cfg)
     n = data.dim
-    trace = FitTrace()
 
     bases = []   # (gamma, zeta)
     theta, sse = _sbf_refit(Xt, yt, bases, cfg.ridge)
 
-    def val_sse_of(bs, th):
-        if not len(val_idx):
-            if not bs:
-                return float(np.sum(yt ** 2))
-            return float(np.sum((np.column_stack(
-                [_sbf_column(Xt, g, z) for g, z in bs]) @ th - yt) ** 2))
-        if not bs:
-            return float(np.sum(yv ** 2))
-        return float(np.sum((np.column_stack(
-            [_sbf_column(Xv, g, z) for g, z in bs]) @ th - yv) ** 2))
+    def val_sse_of(bs, th, train_sse):
+        return _validation_sse(lambda Z: _sbf_columns(Z, bs) @ th, Xv, yv, train_sse)
 
-    trace.add(0, sse, val_sse_of(bases, theta), "empty")
+    trace.add(0, sse, val_sse_of(bases, theta, sse), "empty")
 
     for _ in range(cfg.max_terms):
-        residual = yt if not bases else yt - np.column_stack(
-            [_sbf_column(Xt, g, z) for g, z in bases]) @ theta
+        residual = yt - _sbf_columns(Xt, bases) @ theta
         peak = float(np.max(np.abs(residual)))
         if peak <= 1e-12:
-            trace.add(len(bases), sse, val_sse_of(bases, theta), "stop-perfect")
+            trace.add(len(bases), sse, val_sse_of(bases, theta, sse), "stop-perfect")
             break
         zeta = Xt[int(np.argmax(np.abs(residual)))].copy()
         gamma = np.ones(n)
-        B = (np.column_stack([_sbf_column(Xt, g, z) for g, z in bases])
-             if bases else np.empty((Xt.shape[0], 0)))
+        B = _sbf_columns(Xt, bases)
         for _sweep in range(SBF_SWEEPS):
             for i in range(n):
                 cols = []
@@ -712,10 +711,10 @@ def fit_sbf(data, cfg=None):
         new_bases = bases + [(gamma, zeta)]
         new_theta, new_sse = _sbf_refit(Xt, yt, new_bases, cfg.ridge)
         if new_sse > sse - cfg.tolerance:
-            trace.add(len(bases), sse, val_sse_of(bases, theta), "stop-no-progress")
+            trace.add(len(bases), sse, val_sse_of(bases, theta, sse), "stop-no-progress")
             break
         bases, theta, sse = new_bases, new_theta, new_sse
-        trace.add(len(bases), sse, val_sse_of(bases, theta), "add-tent")
+        trace.add(len(bases), sse, val_sse_of(bases, theta, sse), "add-tent")
 
     model = SbfModel(n, [(float(theta[k]), g, z) for k, (g, z) in enumerate(bases)])
     return model, trace

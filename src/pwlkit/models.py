@@ -10,20 +10,18 @@ from __future__ import annotations
 
 import numpy as np
 
-from .affine import AffineFunction, as_vector, stack_affines
+from .affine import AffineFunction, as_points, as_vector, stack_affines
 from .errors import DimensionMismatchError
 
 
-def _as_points(points, dim):
-    points = np.asarray(points, dtype=float)
-    if points.ndim == 1:
-        points = points[:, None] if dim == 1 else points[None, :]
-    if points.shape[1] != dim:
-        raise DimensionMismatchError(dim, points.shape[1], what="points")
-    return points
+class PwlModel:
+    """Base of the batch-evaluated models: ``value`` is ``values`` at one point."""
+
+    def value(self, x):
+        return float(self.values(np.atleast_1d(np.asarray(x, dtype=float)))[0])
 
 
-class CplrModel:
+class CplrModel(PwlModel):
     """Affine part plus a signed sum of absolute values of affine forms."""
 
     def __init__(self, alpha0, beta0, terms=()):
@@ -45,11 +43,23 @@ class CplrModel:
     def dim(self):
         return self.alpha0.shape[0]
 
-    def value(self, x):
-        return float(self.values(np.atleast_1d(np.asarray(x, dtype=float)))[0])
+    @classmethod
+    def from_hinges(cls, m):
+        """Rewrite ``max(u, 0) = (u + |u|) / 2`` hinge by hinge."""
+        alpha0 = np.array(m.alpha0)
+        beta0 = m.beta0
+        terms = []
+        for w, alpha, beta in m.hinges:
+            alpha0 = alpha0 + (w / 2.0) * alpha
+            beta0 = beta0 + (w / 2.0) * beta
+            eta = 1 if w >= 0 else -1
+            scale = abs(w) / 2.0
+            if scale > 0:
+                terms.append((eta, scale * alpha, scale * beta))
+        return cls(alpha0, beta0, terms)
 
     def values(self, points):
-        points = _as_points(points, self.dim)
+        points = as_points(points, self.dim)
         out = points @ self.alpha0 + self.beta0
         for eta, alpha, beta in self.terms:
             out = out + eta * np.abs(points @ alpha + beta)
@@ -92,7 +102,7 @@ class CplrExpr:
         return out
 
 
-class NestedCplrModel:
+class NestedCplrModel(PwlModel):
     """Nested canonical representation as an explicit expression tree."""
 
     def __init__(self, root):
@@ -114,14 +124,11 @@ class NestedCplrModel:
         ]
         return cls(CplrExpr(AffineFunction(m.alpha0, m.beta0), children))
 
-    def value(self, x):
-        return float(self.values(np.atleast_1d(np.asarray(x, dtype=float)))[0])
-
     def values(self, points):
-        return self.root.values(_as_points(points, self.dim))
+        return self.root.values(as_points(points, self.dim))
 
 
-class HingeModel:
+class HingeModel(PwlModel):
     """Affine part plus weighted one-sided hinges ``w * max(alpha.x + beta, 0)``."""
 
     def __init__(self, alpha0, beta0, hinges=()):
@@ -152,18 +159,15 @@ class HingeModel:
             beta0 = beta0 - eta * beta
         return cls(alpha0, beta0, hinges)
 
-    def value(self, x):
-        return float(self.values(np.atleast_1d(np.asarray(x, dtype=float)))[0])
-
     def values(self, points):
-        points = _as_points(points, self.dim)
+        points = as_points(points, self.dim)
         out = points @ self.alpha0 + self.beta0
         for w, alpha, beta in self.hinges:
             out = out + w * np.maximum(points @ alpha + beta, 0.0)
         return out
 
 
-class GhhModel:
+class GhhModel(PwlModel):
     """Weighted sum of maxima over affine families."""
 
     def __init__(self, terms):
@@ -196,11 +200,8 @@ class GhhModel:
         """Largest affine count per term, minus one."""
         return max(len(affines) for _, affines in self.terms) - 1
 
-    def value(self, x):
-        return float(self.values(np.atleast_1d(np.asarray(x, dtype=float)))[0])
-
     def values(self, points):
-        points = _as_points(points, self.dim)
+        points = as_points(points, self.dim)
         out = np.zeros(points.shape[0])
         for w, affines in self.terms:
             J, b = stack_affines(affines)
@@ -208,7 +209,7 @@ class GhhModel:
         return out
 
 
-class HlCplrBasis:
+class HlCplrBasis(PwlModel):
     """Grid simplex basis: ``max(0, min_r (x_{k_r} - j_{k_r} d))``.
 
     Axis indices are zero-based and must be distinct; ``d`` is the grid
@@ -238,11 +239,8 @@ class HlCplrBasis:
     def dim(self):
         return self.dim_
 
-    def value(self, x):
-        return float(self.values(np.atleast_1d(np.asarray(x, dtype=float)))[0])
-
     def values(self, points):
-        points = _as_points(points, self.dim_)
+        points = as_points(points, self.dim_)
         cols = [points[:, axis] - knot * self.interval
                 for axis, knot in self.coordinates]
         return np.maximum(np.min(np.column_stack(cols), axis=1), 0.0)
@@ -284,7 +282,7 @@ class AhhBasis:
         return np.min(np.column_stack(cols), axis=1)
 
 
-class AhhModel:
+class AhhModel(PwlModel):
     """Adaptive hinge model: intercept plus weighted min-of-hinge bases.
 
     The constant basis is carried explicitly as ``intercept``; repeated
@@ -310,18 +308,15 @@ class AhhModel:
     def dim(self):
         return self.dim_
 
-    def value(self, x):
-        return float(self.values(np.atleast_1d(np.asarray(x, dtype=float)))[0])
-
     def values(self, points):
-        points = _as_points(points, self.dim_)
+        points = as_points(points, self.dim_)
         out = np.full(points.shape[0], self.intercept)
         for w, basis in self.bases:
             out = out + w * basis.values(points)
         return out
 
 
-class SbfModel:
+class SbfModel(PwlModel):
     """Weighted simplex tents ``w * max(0, 1 - sum_i gamma_i |x_i - zeta_i|)``."""
 
     def __init__(self, dim, bases=()):
@@ -342,11 +337,8 @@ class SbfModel:
     def dim(self):
         return self.dim_
 
-    def value(self, x):
-        return float(self.values(np.atleast_1d(np.asarray(x, dtype=float)))[0])
-
     def values(self, points):
-        points = _as_points(points, self.dim_)
+        points = as_points(points, self.dim_)
         out = np.zeros(points.shape[0])
         for w, gamma, zeta in self.bases:
             hat = 1.0 - np.abs(points - zeta) @ gamma
@@ -354,7 +346,7 @@ class SbfModel:
         return out
 
 
-class LatticeModel:
+class LatticeModel(PwlModel):
     """Max over rows of mins over selected affine functions."""
 
     def __init__(self, affines, sets):
@@ -383,11 +375,8 @@ class LatticeModel:
     def dim(self):
         return self.affines[0].dim
 
-    def value(self, x):
-        return float(self.values(np.atleast_1d(np.asarray(x, dtype=float)))[0])
-
     def values(self, points):
-        points = _as_points(points, self.dim)
+        points = as_points(points, self.dim)
         vals = points @ self._J.T + self._b        # (N, d) piece values
         rows = [np.min(vals[:, s], axis=1) for s in self.sets]
         return np.max(np.column_stack(rows), axis=1)

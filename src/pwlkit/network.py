@@ -17,6 +17,7 @@ from math import comb
 
 import numpy as np
 
+from .affine import as_points, grid_points
 from .errors import (
     BudgetExceededError,
     DimensionMismatchError,
@@ -55,8 +56,8 @@ class Activation:
         return self.apply(z, p), p
 
     def grad_z(self, z, pattern):
-        """d(output)/d(pre-activation), from the branch state."""
-        raise NotImplementedError
+        """d(output)/d(pre-activation): the branch slope."""
+        return self.affine_view(pattern)[0]
 
     def param_arrays(self):
         return []
@@ -68,6 +69,25 @@ class Activation:
     def affine_view(self, pattern):
         """Per-neuron (slope, intercept) on the branch: out = slope*z + c."""
         raise NotImplementedError
+
+    def kinks(self, code):
+        """Boundaries of one unit pattern's branch as ``(D, t)``.
+
+        Row ``r`` is the branch change where ``D[r] . z - t[r]`` changes
+        sign, ``z`` being the layer's pre-activation vector.
+        """
+        raise NotImplementedError
+
+    def restrict(self, J, c, code):
+        """Compose the pre-activation map ``z = J x + c`` with a frozen branch."""
+        slope, intercept = self.affine_view(code[None, :])
+        slope = np.asarray(slope, dtype=float).ravel()
+        intercept = np.asarray(intercept, dtype=float).ravel()
+        return slope[:, None] * J, slope * c + intercept
+
+    def backprop(self, z, pattern, upstream):
+        """d(loss)/d(pre-activation) from d(loss)/d(output)."""
+        return upstream * self.grad_z(z, pattern)
 
     def config(self):
         """Fixed (non-learnable) settings for serialization."""
@@ -83,11 +103,11 @@ class Relu(Activation):
     def apply(self, z, p):
         return z * p
 
-    def grad_z(self, z, p):
-        return p.astype(float)
-
     def affine_view(self, p):
         return p.astype(float), np.zeros(p.shape[-1])
+
+    def kinks(self, code):
+        return np.eye(self.width), np.zeros(self.width)
 
 
 class LeakyRelu(Activation):
@@ -103,33 +123,24 @@ class LeakyRelu(Activation):
     def apply(self, z, p):
         return np.where(p == 1, z, self.lam * z)
 
-    def grad_z(self, z, p):
-        return np.where(p == 1, 1.0, self.lam)
-
     def affine_view(self, p):
         return np.where(p == 1, 1.0, self.lam), np.zeros(p.shape[-1])
+
+    def kinks(self, code):
+        return np.eye(self.width), np.zeros(self.width)
 
     def config(self):
         return {"lam": self.lam}
 
 
-class ParametricRelu(Activation):
+class ParametricRelu(LeakyRelu):
     """Leaky slope learnable per neuron."""
 
     kind = "parametric_relu"
 
     def __init__(self, width, lam=0.25):
-        super().__init__(width)
-        self.lam = np.full(width, float(lam))
-
-    def pattern(self, z):
-        return (z >= 0).astype(np.int8)
-
-    def apply(self, z, p):
-        return np.where(p == 1, z, self.lam * z)
-
-    def grad_z(self, z, p):
-        return np.where(p == 1, 1.0, self.lam)
+        super().__init__(width, lam)
+        self.lam = np.full(width, self.lam)
 
     def param_arrays(self):
         return [self.lam]
@@ -138,8 +149,9 @@ class ParametricRelu(Activation):
         neg = (p == 0)
         return [np.sum(upstream * np.where(neg, z, 0.0), axis=0)]
 
-    def affine_view(self, p):
-        return np.where(p == 1, 1.0, self.lam), np.zeros(p.shape[-1])
+    def config(self):
+        """No fixed settings: the learnable slopes are saved as a parameter array."""
+        return {}
 
 
 class SShapedRelu(Activation):
@@ -169,10 +181,6 @@ class SShapedRelu(Activation):
         return (self.a0 * z + self.b0 + self.a1 * (s1 * (z - self.tl))
                 + self.a2 * (s2 * (z - self.tr)))
 
-    def grad_z(self, z, p):
-        s1, s2 = self._signs(p)
-        return self.a0 + self.a1 * s1 + self.a2 * s2
-
     def param_arrays(self):
         return [self.a0, self.b0, self.a1, self.a2, self.tl, self.tr]
 
@@ -193,6 +201,10 @@ class SShapedRelu(Activation):
         intercept = self.b0 - self.a1 * s1 * self.tl - self.a2 * s2 * self.tr
         return slope, intercept
 
+    def kinks(self, code):
+        eye = np.eye(self.width)
+        return np.vstack([eye, eye]), np.concatenate([self.tl, self.tr])
+
 
 class FlexibleRelu(Activation):
     """max(z + a, 0) + b with learnable shift and level."""
@@ -210,9 +222,6 @@ class FlexibleRelu(Activation):
     def apply(self, z, p):
         return (z + self.a) * p + self.b
 
-    def grad_z(self, z, p):
-        return p.astype(float)
-
     def param_arrays(self):
         return [self.a, self.b]
 
@@ -223,6 +232,9 @@ class FlexibleRelu(Activation):
     def affine_view(self, p):
         act = p.astype(float)
         return act, act * self.a + self.b
+
+    def kinks(self, code):
+        return np.eye(self.width), -self.a
 
 
 class Apl(Activation):
@@ -256,13 +268,6 @@ class Apl(Activation):
             out = out + self.a[:, s] * ((-z + self.b[:, s]) * hinge[s])
         return out
 
-    def grad_z(self, z, p):
-        main, hinge = self._bits(p)
-        g = main.copy()
-        for s in range(self.segments):
-            g = g - self.a[:, s] * hinge[s]
-        return g
-
     def param_arrays(self):
         return [self.a, self.b]
 
@@ -283,6 +288,12 @@ class Apl(Activation):
             slope = slope - self.a[:, s] * hinge[s]
             intercept = intercept + self.a[:, s] * self.b[:, s] * hinge[s]
         return slope, intercept
+
+    def kinks(self, code):
+        eye = np.eye(self.width)
+        return (np.vstack([eye] * (self.segments + 1)),
+                np.concatenate([np.zeros(self.width)]
+                               + [self.b[:, s] for s in range(self.segments)]))
 
     def config(self):
         return {"segments": self.segments}
@@ -312,11 +323,22 @@ class Maxout(Activation):
         g = self._grouped(z)
         return np.take_along_axis(g, p[:, :, None].astype(int), axis=2)[:, :, 0]
 
-    def grad_z(self, z, p):
-        # routes upstream to the argmax slot; handled by the layer backward
+    def backprop(self, z, p, upstream):
+        """Route each unit's upstream gradient to its argmax slot."""
         g = np.zeros((z.shape[0], self.width, self.k))
-        np.put_along_axis(g, p[:, :, None].astype(int), 1.0, axis=2)
+        np.put_along_axis(g, p[:, :, None].astype(int), upstream[:, :, None], axis=2)
         return g.reshape(z.shape[0], self.width * self.k)
+
+    def restrict(self, J, c, code):
+        rows = np.asarray(code, dtype=int) + np.arange(self.width) * self.k
+        return J[rows], c[rows]
+
+    def kinks(self, code):
+        """One row ``z[other] - z[top]`` per unit and losing slot."""
+        eye = np.eye(self.pre_width())
+        D = [eye[w * self.k + j] - eye[w * self.k + int(code[w])]
+             for w in range(self.width) for j in range(self.k) if j != code[w]]
+        return np.array(D).reshape(len(D), self.pre_width()), np.zeros(len(D))
 
     def config(self):
         return {"k": self.k}
@@ -457,10 +479,7 @@ class PwlNetwork:
         return float(out[0])
 
     def values(self, points):
-        points = np.asarray(points, dtype=float)
-        if points.ndim == 1:
-            points = points[:, None] if self.in_dim == 1 else points[None, :]
-        out = self.forward_batch(points)
+        out = self.forward_batch(as_points(points, self.in_dim))
         if out.shape[1] != 1:
             raise ValueError("values() needs a single-output network")
         return out[:, 0]
@@ -537,35 +556,18 @@ def backward_batch(net, X, y):
     if not np.isfinite(loss):
         raise NonFiniteLossError(len(net.layers) - 1)
 
-    grads = {i: None for i in range(len(net.layers))}
+    per_layer = []
     upstream = 2.0 * diff / B      # d loss / d output
-    for i in range(len(net.layers) - 1, -1, -1):
-        layer = net.layers[i]
-        a_in, z, pattern = cache[i]
+    for layer, (a_in, z, pattern) in zip(reversed(net.layers), reversed(cache)):
         act_grads = []
         if layer.activation is None:
             dz = upstream
         else:
-            act = layer.activation
-            act_grads = act.param_grads(z, pattern, upstream)
-            if isinstance(act, Maxout):
-                g = np.zeros((z.shape[0], act.width, act.k))
-                np.put_along_axis(g, pattern[:, :, None].astype(int),
-                                  upstream[:, :, None], axis=2)
-                dz = g.reshape(z.shape[0], act.width * act.k)
-            else:
-                dz = upstream * act.grad_z(z, pattern)
-        dW = dz.T @ a_in
-        db = np.sum(dz, axis=0)
-        grads[i] = (dW, db, act_grads)
+            act_grads = layer.activation.param_grads(z, pattern, upstream)
+            dz = layer.activation.backprop(z, pattern, upstream)
+        per_layer.append([dz.T @ a_in, np.sum(dz, axis=0)] + act_grads)
         upstream = dz @ layer.weight
-    flat = []
-    for i, layer in enumerate(net.layers):
-        dW, db, act_grads = grads[i]
-        flat.append(dW)
-        flat.append(db)
-        flat.extend(act_grads)
-    return loss, flat
+    return loss, [g for grads in reversed(per_layer) for g in grads]
 
 
 def backward(net, x, y):
@@ -682,30 +684,25 @@ def local_affine_map(net, pattern):
     Built deterministically from the pattern and the parameters alone, so
     equal patterns give bit-identical coefficients.
     """
+    for _act, _code, J, c in _pre_activation_maps(net, pattern):
+        pass    # the output layer is affine: its pre-activation is the output
+    return J, c
+
+
+def _pre_activation_maps(net, pattern):
+    """Per layer ``(activation, code, J, c)``: ``z = J x + c`` on the region."""
     n = net.in_dim
     J = np.eye(n)
     c = np.zeros(n)
-    hidden = 0
+    codes = iter(pattern.codes)
     for layer in net.layers:
         J = layer.weight @ J
         c = layer.weight @ c + layer.bias
         act = layer.activation
-        if act is None:
-            continue
-        code = pattern.codes[hidden]
-        hidden += 1
-        if isinstance(act, Maxout):
-            sel = np.asarray(code, dtype=int)
-            rows = sel + np.arange(act.width) * act.k
-            J = J[rows]
-            c = c[rows]
-        else:
-            slope, intercept = act.affine_view(code[None, :])
-            slope = np.asarray(slope, dtype=float).ravel()
-            intercept = np.asarray(intercept, dtype=float).ravel()
-            J = slope[:, None] * J
-            c = slope * c + intercept
-    return J, c
+        code = None if act is None else next(codes)
+        yield act, code, J, c
+        if act is not None:
+            J, c = act.restrict(J, c, code)
 
 
 def masked_forward(net, pattern, x):
@@ -740,27 +737,10 @@ def _pattern_margin(net, x):
     """Smallest |pre-activation distance to a branch change| at x."""
     _, cache = net.forward(x)
     worst = np.inf
-    for layer, (_, z, _) in zip(net.layers, cache):
-        act = layer.activation
-        if act is None:
-            continue
-        zz = z[0]
-        if isinstance(act, Maxout):
-            g = zz.reshape(act.width, act.k)
-            top2 = np.sort(g, axis=1)[:, -2:] if act.k > 1 else None
-            if top2 is not None:
-                worst = min(worst, float(np.min(top2[:, 1] - top2[:, 0])))
-        elif isinstance(act, SShapedRelu):
-            worst = min(worst, float(np.min(np.abs(zz - act.tl))),
-                        float(np.min(np.abs(zz - act.tr))))
-        elif isinstance(act, Apl):
-            worst = min(worst, float(np.min(np.abs(zz))))
-            for s in range(act.segments):
-                worst = min(worst, float(np.min(np.abs(act.b[:, s] - zz))))
-        elif isinstance(act, FlexibleRelu):
-            worst = min(worst, float(np.min(np.abs(zz + act.a))))
-        else:
-            worst = min(worst, float(np.min(np.abs(zz))))
+    for layer, (_, z, code) in zip(net.layers, cache):
+        if layer.activation is not None:
+            D, t = layer.activation.kinks(code[0])
+            worst = min(worst, float(np.min(np.abs(D @ z[0] - t), initial=np.inf)))
     return worst
 
 
@@ -786,12 +766,6 @@ class RegionCount:
     bound: int | None   # arrangement bound, one-hidden-layer nets only
 
 
-def _grid_points_box(lo, hi, density):
-    axes = [np.linspace(lo[i], hi[i], density) for i in range(len(lo))]
-    mesh = np.meshgrid(*axes, indexing="ij")
-    return np.column_stack([m.ravel() for m in mesh])
-
-
 def _one_hidden_relu_like(net):
     return (len(net.layers) == 2
             and isinstance(net.layers[0].activation, (Relu, LeakyRelu,
@@ -813,7 +787,7 @@ def count_regions(net, box, method="pattern-enumeration", grid_density=None):
     n = net.in_dim
     if method == "grid-probe":
         density = grid_density or (201 if n <= 2 else 31)
-        pts = _grid_points_box(lo, hi, density)
+        pts = grid_points(lo, hi, density)
         seen = {}
         for x, pat in zip(pts, _patterns_of_batch(net, pts)):
             J, c = local_affine_map(net, pat)
@@ -828,7 +802,7 @@ def count_regions(net, box, method="pattern-enumeration", grid_density=None):
         raise BudgetExceededError(net.hidden_unit_count, ENUMERATION_BUDGET)
 
     density = grid_density or (41 if n <= 2 else 11)
-    pts = _grid_points_box(lo, hi, density)
+    pts = grid_points(lo, hi, density)
     queue = []
     seen = {}
     for x, pat in zip(pts, _patterns_of_batch(net, pts)):
@@ -839,11 +813,10 @@ def count_regions(net, box, method="pattern-enumeration", grid_density=None):
     while queue:
         pat, x = queue.pop()
         for x2 in _boundary_crossings(net, pat, x, lo, hi, span):
-            for cand in (x2,):
-                p2 = _patterns_of_batch(net, cand[None, :])[0]
-                if p2 not in seen:
-                    seen[p2] = cand.copy()
-                    queue.append((p2, cand.copy()))
+            p2 = _patterns_of_batch(net, x2[None, :])[0]
+            if p2 not in seen:
+                seen[p2] = x2.copy()
+                queue.append((p2, x2.copy()))
     certs = []
     for pat, x in seen.items():
         J, c = local_affine_map(net, pat)
@@ -860,44 +833,12 @@ def _bound_if_shallow(net, n):
 def _boundary_crossings(net, pattern, x, lo, hi, span):
     """Candidate witness points just across each unit's local boundary."""
     out = []
-    n = net.in_dim
-    J = np.eye(n)
-    c = np.zeros(n)
-    hidden = 0
-    for layer in net.layers:
-        Jz = layer.weight @ J
-        cz = layer.weight @ c + layer.bias
-        act = layer.activation
+    for act, code, Jz, cz in _pre_activation_maps(net, pattern):
         if act is None:
-            break
-        code = pattern.codes[hidden]
-        hidden += 1
-        # pre-activation of unit u is Jz[u] . x + cz[u] on this region
-        zx = Jz @ x + cz
-        if isinstance(act, Maxout):
-            thresholds = []
-            g = zx.reshape(act.width, act.k)
-            for w in range(act.width):
-                top = int(code[w])
-                for other in range(act.k):
-                    if other == top:
-                        continue
-                    row = w * act.k
-                    gdir = Jz[row + other] - Jz[row + top]
-                    gval = zx[row + other] - zx[row + top]
-                    thresholds.append((gdir, gval))
-        elif isinstance(act, SShapedRelu):
-            thresholds = [(Jz[u], zx[u] - act.tl[u]) for u in range(len(zx))]
-            thresholds += [(Jz[u], zx[u] - act.tr[u]) for u in range(len(zx))]
-        elif isinstance(act, Apl):
-            thresholds = [(Jz[u], zx[u]) for u in range(len(zx))]
-            for s in range(act.segments):
-                thresholds += [(Jz[u], zx[u] - act.b[u, s]) for u in range(len(zx))]
-        elif isinstance(act, FlexibleRelu):
-            thresholds = [(Jz[u], zx[u] + act.a[u]) for u in range(len(zx))]
-        else:
-            thresholds = [(Jz[u], zx[u]) for u in range(len(zx))]
-        for gdir, gval in thresholds:
+            continue
+        D, t = act.kinks(code)
+        # boundary r is the hyperplane D[r] . (Jz x + cz) = t[r] on this region
+        for gdir, gval in zip(D @ Jz, D @ (Jz @ x + cz) - t):
             norm2 = float(gdir @ gdir)
             if norm2 <= 1e-18:
                 continue
@@ -906,15 +847,4 @@ def _boundary_crossings(net, pattern, x, lo, hi, span):
                 x2 = x - ((gval + np.sign(gval or 1.0) * overshoot) / norm2) * gdir
                 x2 = np.clip(x2, lo, hi)
                 out.append(x2)
-        if isinstance(act, Maxout):
-            sel = np.asarray(code, dtype=int)
-            rows = sel + np.arange(act.width) * act.k
-            J = Jz[rows]
-            c = cz[rows]
-        else:
-            slope, intercept = act.affine_view(code[None, :])
-            slope = np.asarray(slope, dtype=float).ravel()
-            intercept = np.asarray(intercept, dtype=float).ravel()
-            J = slope[:, None] * Jz
-            c = slope * cz + intercept
     return out

@@ -13,9 +13,10 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.stats import qmc
 
-from .affine import AffineFunction
+from .affine import AffineFunction, as_points, grid_points
 from .conventional import (
     ConventionalPWL,
+    chebyshev_center,
     check_consistent_variation,
     check_continuity,
 )
@@ -33,6 +34,7 @@ from .models import (
     HlCplrBasis,
     LatticeModel,
     NestedCplrModel,
+    PwlModel,
     SbfModel,
 )
 
@@ -46,7 +48,7 @@ def _dedupe(rows):
     return np.unique(rows, axis=0)
 
 
-class DCForm:
+class DCForm(PwlModel):
     """Difference of two convex max-of-affines functions.
 
     Stored as homogeneous coefficient rows ``[J | b]``; the value is
@@ -71,15 +73,8 @@ class DCForm:
     def dim(self):
         return self.plus.shape[1] - 1
 
-    def value(self, x):
-        return float(self.values(np.atleast_1d(np.asarray(x, dtype=float)))[0])
-
     def values(self, points):
-        points = np.asarray(points, dtype=float)
-        if points.ndim == 1:
-            points = points[:, None] if self.dim == 1 else points[None, :]
-        if points.shape[1] != self.dim:
-            raise DimensionMismatchError(self.dim, points.shape[1], what="points")
+        points = as_points(points, self.dim)
         H = np.column_stack([points, np.ones(points.shape[0])])
         return np.max(H @ self.plus.T, axis=1) - np.max(H @ self.minus.T, axis=1)
 
@@ -162,6 +157,14 @@ def dc_prune(f, box, density=33, margin=1e-9):
     return DCForm(keep(f.plus), keep(f.minus))
 
 
+def _dc_axis(dim, bias=0.0, axis=None, slope=1.0):
+    """Lift ``slope * x[axis] + bias``, or the constant ``bias`` without an axis."""
+    alpha = np.zeros(dim)
+    if axis is not None:
+        alpha[axis] = slope
+    return dc_from_affine(AffineFunction(alpha, bias))
+
+
 def dc_from_model(model):
     """Lower any supported model to difference-of-convex form."""
     if isinstance(model, DCForm):
@@ -178,10 +181,9 @@ def dc_from_model(model):
         return _dc_from_expr(model.root)
     if isinstance(model, HingeModel):
         out = dc_from_affine(AffineFunction(model.alpha0, model.beta0))
-        zero = AffineFunction(np.zeros(model.dim), 0.0)
+        zero = _dc_axis(model.dim)
         for w, alpha, beta in model.hinges:
-            hinge = dc_max(dc_from_affine(AffineFunction(alpha, beta)),
-                           dc_from_affine(zero))
+            hinge = dc_max(dc_from_affine(AffineFunction(alpha, beta)), zero)
             out = dc_sum(out, dc_scale(hinge, w))
         return out
     if isinstance(model, GhhModel):
@@ -193,43 +195,32 @@ def dc_from_model(model):
             out = term if out is None else dc_sum(out, term)
         return out
     if isinstance(model, HlCplrBasis):
-        factors = []
-        for axis, knot in model.coordinates:
-            alpha = np.zeros(model.dim)
-            alpha[axis] = 1.0
-            factors.append(dc_from_affine(
-                AffineFunction(alpha, -knot * model.interval)))
+        factors = [_dc_axis(model.dim, -knot * model.interval, axis)
+                   for axis, knot in model.coordinates]
         inner = factors[0]
         for fac in factors[1:]:
             inner = dc_min(inner, fac)
-        zero = dc_from_affine(AffineFunction(np.zeros(model.dim), 0.0))
-        return dc_max(zero, inner)
+        return dc_max(_dc_axis(model.dim), inner)
     if isinstance(model, AhhModel):
-        out = dc_from_affine(AffineFunction(np.zeros(model.dim), model.intercept))
-        zero = dc_from_affine(AffineFunction(np.zeros(model.dim), 0.0))
+        out = _dc_axis(model.dim, model.intercept)
+        zero = _dc_axis(model.dim)
         for w, basis in model.bases:
-            parts = []
-            for delta, var, knot in basis.factors:
-                alpha = np.zeros(model.dim)
-                alpha[var] = float(delta)
-                aff = AffineFunction(alpha, -delta * knot)
-                parts.append(dc_max(dc_from_affine(aff), zero))
+            parts = [dc_max(_dc_axis(model.dim, -delta * knot, var, float(delta)), zero)
+                     for delta, var, knot in basis.factors]
             acc = parts[0]
             for p in parts[1:]:
                 acc = dc_min(acc, p)
             out = dc_sum(out, dc_scale(acc, w))
         return out
     if isinstance(model, SbfModel):
-        out = dc_from_affine(AffineFunction(np.zeros(model.dim), 0.0))
-        zero = dc_from_affine(AffineFunction(np.zeros(model.dim), 0.0))
+        zero = _dc_axis(model.dim)
+        out = zero
         for w, gamma, zeta in model.bases:
-            hat = dc_from_affine(AffineFunction(np.zeros(model.dim), 1.0))
+            hat = _dc_axis(model.dim, 1.0)
             for i in range(model.dim):
                 if gamma[i] == 0.0:
                     continue
-                alpha = np.zeros(model.dim)
-                alpha[i] = gamma[i]
-                tent = dc_abs(dc_from_affine(AffineFunction(alpha, -gamma[i] * zeta[i])))
+                tent = dc_abs(_dc_axis(model.dim, -gamma[i] * zeta[i], i, gamma[i]))
                 hat = dc_sum(hat, dc_negate(tent))
             out = dc_sum(out, dc_scale(dc_max(zero, hat), w))
         return out
@@ -312,8 +303,6 @@ def lattice_from_conventional(model, probe_density=33, box=None):
 
 
 def _region_probe_point(model, i, box):
-    from .conventional import chebyshev_center
-
     center, radius = chebyshev_center(model.regions[i], box=box)
     if center is None:
         raise RuntimeError(f"region {i} has no feasible point inside the probe box")
@@ -331,8 +320,6 @@ def cplr_from_consistent(model, grid_density=33, box=None):
     per-hyperplane coefficients are solved by least squares over region
     Jacobians, then the result is verified on a dense grid.
     """
-    from .conventional import chebyshev_center
-
     verdict = check_consistent_variation(model, box=None)
     if not verdict.representable:
         raise NotCplrRepresentableError(verdict.certificate)
@@ -392,15 +379,6 @@ def cplr_from_consistent(model, grid_density=33, box=None):
 # Equivalence checking
 # ---------------------------------------------------------------------------
 
-def grid_points(lo, hi, density):
-    """Full lattice grid over a box, ``density`` points per axis."""
-    lo = np.atleast_1d(np.asarray(lo, dtype=float))
-    hi = np.atleast_1d(np.asarray(hi, dtype=float))
-    axes = [np.linspace(lo[i], hi[i], int(density)) for i in range(lo.shape[0])]
-    mesh = np.meshgrid(*axes, indexing="ij")
-    return np.column_stack([m.ravel() for m in mesh])
-
-
 @dataclass
 class EquivalenceReport:
     max_abs_deviation: float
@@ -415,7 +393,7 @@ class EquivalenceReport:
     def __str__(self):
         return "\n".join([
             f"max-abs-deviation: {self.max_abs_deviation!r}",
-            f"argmax-point: {','.join(repr(v) for v in self.argmax_point)}",
+            f"argmax-point: {','.join(repr(float(v)) for v in self.argmax_point)}",
             f"sample-count: {self.sample_count}",
             f"tolerance: {self.tolerance!r}",
             f"equivalent: {'yes' if self.equivalent else 'no'}",
