@@ -52,6 +52,9 @@ EXIT_VIOLATIONS = 5
 EXIT_BUDGET = 6
 EXIT_USAGE = 64
 
+# Largest point count an ``eval --grid`` spec may ask for.
+MAX_GRID_POINTS = 10**7
+
 
 class UsageError(Exception):
     pass
@@ -84,18 +87,25 @@ def _parse_box(spec, dim=None):
 
 
 def _parse_grid(spec):
-    """Grid spec ``a:b:step[,a:b:step...]`` into a lexicographic point list."""
+    """Grid spec ``a:b:step[,a:b:step...]`` into a lexicographic point list.
+
+    The point count is worked out from the spec first, and a grid of more
+    than ``MAX_GRID_POINTS`` points is refused before anything is allocated.
+    """
     axes = []
     for part in spec.split(","):
         bits = part.split(":")
-        if len(bits) != 3:
-            raise UsageError(f"bad grid component {part!r}, want a:b:step")
-        a, b, step = (float(v) for v in bits)
-        if step <= 0 or b < a:
+        try:
+            a, b, step = (float(v) for v in bits)
+        except ValueError:
+            raise UsageError(f"bad grid component {part!r}, want a:b:step") from None
+        if not (step > 0 and b >= a and np.isfinite(b - a)):
             raise UsageError(f"bad grid range {part!r}")
-        n = int(np.floor((b - a) / step + 0.5)) + 1
-        axes.append(a + step * np.arange(n))
-    return mesh_points(axes)
+        axes.append((a, step, np.floor((b - a) / step + 0.5) + 1))
+    total = float(np.prod([n for _, _, n in axes]))
+    if not total <= MAX_GRID_POINTS:
+        raise UsageError(f"grid has {total:.4g} points, the limit is {MAX_GRID_POINTS}")
+    return mesh_points([a + step * np.arange(int(n)) for a, step, n in axes])
 
 
 def _read_config(path):
@@ -372,7 +382,7 @@ def cmd_validate(args):
               f"{v.value_i!r} vs {v.value_j!r}")
     if report.violations:
         return EXIT_VIOLATIONS
-    verdict = check_consistent_variation(model)
+    verdict = check_consistent_variation(model, report)
     _summary([
         ("consistent-variation", "yes" if verdict.representable else "no"),
     ])

@@ -22,11 +22,13 @@ from .errors import (
     DimensionMismatchError,
     DiscontinuousModelError,
 )
+from .models import PwlModel
 
 # Feasibility tolerance for region emptiness and facet detection.
 FEASIBILITY_TOL = 1e-9
 
-# Relative tolerance for piece agreement on shared facets.
+# Relative tolerance for piece agreement on shared facets, and for boundary
+# Jacobian jumps being parallel and equal.
 CONTINUITY_RTOL = 1e-9
 
 # Fallback probe box half-width used when a model declares no domain.
@@ -49,21 +51,8 @@ class Halfspace:
     def dim(self):
         return self.normal.shape[0]
 
-    def margin(self, x):
-        return float(self.normal @ np.asarray(x, dtype=float) - self.offset)
-
-    def contains(self, x, tol=0.0):
-        m = self.margin(x)
-        if tol > 0.0:
-            return m >= -tol
-        return m >= 0.0 if self.closed else m > 0.0
-
     def margins(self, points):
         return np.asarray(points, dtype=float) @ self.normal - self.offset
-
-    def flipped(self):
-        """The complementary halfspace (open/closed toggled)."""
-        return Halfspace(-self.normal, -self.offset, closed=not self.closed)
 
     def canonical(self):
         """Unit-normal hyperplane key ``(alpha, beta)`` plus this side's sign.
@@ -104,7 +93,7 @@ class Region:
         return self.halfspaces[0].dim
 
     def contains(self, x, tol=0.0):
-        return all(h.contains(x, tol) for h in self.halfspaces)
+        return bool(self.contains_many(np.reshape(x, (1, -1)), tol)[0])
 
     def contains_many(self, points, tol=0.0):
         points = np.asarray(points, dtype=float)
@@ -121,15 +110,12 @@ class Region:
     def validated(cls, halfspaces, label=0, box=None):
         """Construct and certify non-emptiness by finding a feasible point."""
         region = cls(halfspaces, label)
-        if certify_nonempty(region, box=box) is None:
+        center, radius = chebyshev_center(region, box=box)
+        if center is None or radius < -FEASIBILITY_TOL:
             raise ValueError(
                 f"region {label} is empty at feasibility tolerance {FEASIBILITY_TOL}"
             )
         return region
-
-    def closure(self):
-        return Region([Halfspace(h.normal, h.offset, True) for h in self.halfspaces],
-                      self.label)
 
     def matrix_form(self):
         """Rows ``A`` and vector ``c`` with the region being ``A x >= c``."""
@@ -157,38 +143,39 @@ def box_region(lo, hi, label=-1):
     return Region(hs, label)
 
 
-def bounding_box(region, halfwidth=DEFAULT_BOX_HALFWIDTH):
-    """Per-axis bounds of a region via 2n small LPs, clipped to +-halfwidth."""
+def _default_box(n):
+    return np.full(n, -DEFAULT_BOX_HALFWIDTH), np.full(n, DEFAULT_BOX_HALFWIDTH)
+
+
+def bounding_box(region):
+    """Per-axis bounds of a region via 2n small LPs, clipped to the default box."""
     n = region.dim
     A, c = region.matrix_form()
-    lo = np.full(n, -halfwidth)
-    hi = np.full(n, halfwidth)
+    lo, hi = _default_box(n)
+    bounds = list(zip(lo, hi))
     for i in range(n):
         obj = np.zeros(n)
         obj[i] = 1.0
         for sign, store in ((1.0, lo), (-1.0, hi)):
-            res = linprog(sign * obj, A_ub=-A, b_ub=-c,
-                          bounds=[(-halfwidth, halfwidth)] * n, method="highs")
+            res = linprog(sign * obj, A_ub=-A, b_ub=-c, bounds=bounds, method="highs")
             if res.status == 0:
                 store[i] = sign * res.fun
     return lo, hi
 
 
-def chebyshev_center(region, box=None, halfwidth=DEFAULT_BOX_HALFWIDTH):
+def chebyshev_center(region, box=None):
     """Deepest interior point of a region and its inscribed radius.
 
     Solves ``max r`` subject to ``a . x - off >= r ||a||`` for every
-    halfspace, with box walls added so unbounded regions stay solvable.
-    Returns ``(center, radius)``; radius below the feasibility tolerance
-    means the region is empty or degenerate at probe scale.
+    halfspace, with box walls (the default box when ``box`` is None) added
+    so unbounded regions stay solvable.  Returns ``(center, radius)``;
+    radius below the feasibility tolerance means the region is empty or
+    degenerate at probe scale.
     """
     n = region.dim
     A, c = region.matrix_form()
     norms = np.linalg.norm(A, axis=1)
-    if box is not None:
-        lo, hi = box
-    else:
-        lo, hi = np.full(n, -halfwidth), np.full(n, halfwidth)
+    lo, hi = _default_box(n) if box is None else box
     rows = [np.concatenate([-A, norms[:, None]], axis=1)]
     rhs = [-c]
     eye = np.eye(n)
@@ -207,15 +194,7 @@ def chebyshev_center(region, box=None, halfwidth=DEFAULT_BOX_HALFWIDTH):
     return res.x[:n], float(res.x[n])
 
 
-def certify_nonempty(region, box=None, tol=FEASIBILITY_TOL):
-    """Interior (or at least feasible) point of a region, or None."""
-    center, radius = chebyshev_center(region, box=box)
-    if center is None or radius < -tol:
-        return None
-    return center
-
-
-class ConventionalPWL:
+class ConventionalPWL(PwlModel):
     """Piecewise-linear function given region by region.
 
     Regions and pieces are aligned and sorted by region label; evaluation
@@ -244,6 +223,7 @@ class ConventionalPWL:
         if domain is not None and domain.dim != self.dimension:
             raise DimensionMismatchError(self.dimension, domain.dim, what="domain")
         self.domain = domain
+        self._box = None
 
     @property
     def dim(self):
@@ -253,50 +233,47 @@ class ConventionalPWL:
     def piece_count(self):
         return len(self.pieces)
 
-    def region_index(self, x, tol=0.0):
-        """Index of the first region containing ``x``; CoverageGapError if none.
-
-        Membership is tried exactly first, then with the feasibility
-        tolerance so grid points that land a rounding error outside a
-        closed region still resolve.
-        """
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        if x.shape[0] != self.dimension:
-            raise DimensionMismatchError(self.dimension, x.shape[0])
-        for trial_tol in (tol, FEASIBILITY_TOL):
-            for i, region in enumerate(self.regions):
-                if region.contains(x, trial_tol):
-                    return i
-        raise CoverageGapError(x)
-
-    def value(self, x):
-        i = self.region_index(x)
-        return self.pieces[i].value(np.atleast_1d(np.asarray(x, dtype=float)))
+    def region_index(self, x):
+        """Index of the first region containing the point ``x`` (see ``values``)."""
+        return int(self._first_hits(np.reshape(x, (1, -1)))[0])
 
     def values(self, points):
         points = as_points(points, self.dimension)
         piece_vals = np.column_stack([p.values(points) for p in self.pieces])
-        member = np.column_stack([r.contains_many(points) for r in self.regions])
-        member_tol = None
-        out = np.empty(points.shape[0])
-        for k in range(points.shape[0]):
-            hits = np.nonzero(member[k])[0]
-            if hits.size == 0:
-                if member_tol is None:
-                    member_tol = np.column_stack(
-                        [r.contains_many(points, FEASIBILITY_TOL) for r in self.regions]
-                    )
-                hits = np.nonzero(member_tol[k])[0]
-                if hits.size == 0:
-                    raise CoverageGapError(points[k])
-            out[k] = piece_vals[k, hits[0]]
-        return out
+        return piece_vals[np.arange(points.shape[0]), self._first_hits(points)]
 
-    def domain_box(self, halfwidth=DEFAULT_BOX_HALFWIDTH):
-        if self.domain is None:
-            n = self.dimension
-            return np.full(n, -halfwidth), np.full(n, halfwidth)
-        return bounding_box(self.domain, halfwidth)
+    def _first_hits(self, points):
+        """Per point, the index of the first region containing it.
+
+        Membership is tried exactly first, then with the feasibility tolerance
+        so grid points that land a rounding error outside a closed region
+        still resolve; CoverageGapError names the first point in neither.
+        """
+        points = as_points(points, self.dimension)
+        member = np.column_stack([r.contains_many(points) for r in self.regions])
+        miss = ~np.any(member, axis=1)
+        if np.any(miss):
+            loose = np.column_stack([r.contains_many(points, FEASIBILITY_TOL)
+                                     for r in self.regions])
+            member[miss] = loose[miss]
+            gap = ~np.any(member, axis=1)
+            if np.any(gap):
+                raise CoverageGapError(points[np.argmax(gap)])
+        return np.argmax(member, axis=1)
+
+    def domain_box(self):
+        """The box every analysis of this model works in.
+
+        The domain's bounding box, or the default box when the model has no
+        domain.  Computed on first use and kept (read-only).
+        """
+        if self._box is None:
+            lo, hi = (_default_box(self.dimension) if self.domain is None
+                      else bounding_box(self.domain))
+            lo.setflags(write=False)
+            hi.setflags(write=False)
+            self._box = (lo, hi)
+        return self._box
 
     def max_jacobian_norm(self):
         return max(float(np.linalg.norm(p.jacobian)) for p in self.pieces)
@@ -323,9 +300,6 @@ class Facet:
     radius: float               # inscribed radius within the facet
     tangent: np.ndarray         # (n, n-1) orthonormal basis of the hyperplane
 
-    def key(self):
-        return hyperplane_key(self.alpha, self.beta)
-
     def sample_points(self, count):
         """Deterministic points in the facet's relative interior."""
         pts = [self.center]
@@ -344,30 +318,25 @@ class Facet:
         return np.array(pts)
 
 
-def hyperplane_key(alpha, beta, digits=9):
-    return tuple(np.round(alpha, digits)) + (round(float(beta), digits),)
+def hyperplane_key(alpha, beta):
+    return tuple(np.round(alpha, 9)) + (round(float(beta), 9),)
 
 
-def _facet_interior(alpha, beta, constraint_regions, box):
+def _facet_interior(alpha, beta, joint, box):
     """Chebyshev center restricted to the hyperplane ``alpha . x = beta``.
 
-    Returns ``(center, radius, tangent_basis)`` or ``(None, -inf, None)``
-    when the closures do not meet on an (n-1)-dimensional set.
+    ``joint`` holds the constraints of both regions' closures.  Returns
+    ``(center, radius, tangent_basis)`` or ``(None, -inf, None)`` when the
+    closures do not meet on an (n-1)-dimensional set.
     """
     n = alpha.shape[0]
     x0 = beta * alpha
     N = null_space(alpha[None, :])
-    A_all, c_all = [], []
-    for reg in constraint_regions:
-        A, c = reg.closure().matrix_form()
-        A_all.append(A)
-        c_all.append(c)
+    A, c = joint.matrix_form()
     lo, hi = box
     eye = np.eye(n)
-    A_all.extend([eye, -eye])
-    c_all.extend([lo, -hi])
-    A = np.vstack(A_all)
-    c = np.concatenate(c_all)
+    A = np.vstack([A, eye, -eye])
+    c = np.concatenate([c, lo, -hi])
     if N.shape[1] == 0:
         margins = A @ x0 - c
         if np.all(margins >= -FEASIBILITY_TOL):
@@ -395,54 +364,57 @@ def _facet_interior(alpha, beta, constraint_regions, box):
     return x0 + N @ t, r, N
 
 
-def find_facets(model, box=None):
+def find_facets(model):
     """All facets between region pairs of a conventional model.
 
     A pair is adjacent when the two regions carry the same hyperplane with
     flipped orientation (syntactic) or when their closures meet and a tight
     constraint at the meeting point induces an (n-1)-dimensional facet.
+    The search works in the model's ``domain_box``; each region's canonical
+    hyperplanes are formed once, and its Chebyshev center is solved at most
+    once, per call.
     """
-    if box is None:
-        box = model.domain_box()
+    box = model.domain_box()
+    regions = model.regions
+    canon = [[h.canonical() for h in r.halfspaces] for r in regions]
+    centers = {}
     facets = []
-    d = model.piece_count
-    for i in range(d):
-        for j in range(i + 1, d):
-            ri, rj = model.regions[i], model.regions[j]
+    for i in range(len(regions)):
+        for j in range(i + 1, len(regions)):
+            joint = Region(regions[i].halfspaces + regions[j].halfspaces)
             candidates = {}
-            for hi_ in ri.halfspaces:
-                ai, bi, si = hi_.canonical()
-                for hj in rj.halfspaces:
-                    aj, bj, sj = hj.canonical()
+            for ai, bi, si in canon[i]:
+                for aj, bj, sj in canon[j]:
                     if si * sj < 0 and abs(bi - bj) <= 1e-9 and \
                             np.all(np.abs(ai - aj) <= 1e-9):
                         candidates[hyperplane_key(ai, bi)] = (ai, bi, si)
             if not candidates:
-                candidates = _semantic_candidates(ri, rj, box)
+                # orient each tight hyperplane by the side region i's deepest
+                # point lies on
+                for alpha, beta in _tight_hyperplanes(joint, canon[i] + canon[j], box):
+                    if i not in centers:
+                        centers[i], _ = chebyshev_center(regions[i], box=box)
+                    ci = centers[i]
+                    side_i = 1.0 if ci is not None and float(alpha @ ci - beta) >= 0 \
+                        else -1.0
+                    candidates[hyperplane_key(alpha, beta)] = (alpha, beta, side_i)
             for alpha, beta, side_i in candidates.values():
-                center, radius, N = _facet_interior(alpha, beta, (ri, rj), box)
-                if center is None:
-                    continue
-                facets.append(Facet(i, j, alpha, float(beta), side_i,
-                                    center, radius, N))
+                center, radius, N = _facet_interior(alpha, beta, joint, box)
+                if center is not None:
+                    facets.append(Facet(i, j, alpha, float(beta), side_i,
+                                        center, radius, N))
     return facets
 
 
-def _semantic_candidates(ri, rj, box):
-    """Fallback adjacency probe: tight constraints where two closures meet."""
-    joint = Region(list(ri.closure().halfspaces) + list(rj.closure().halfspaces), 0)
+def _tight_hyperplanes(joint, canon, box):
+    """Fallback adjacency probe: ``(alpha, beta)`` of each constraint of
+    ``joint`` (canonical forms ``canon``) tight where two closures meet."""
     center, radius = chebyshev_center(joint, box=box)
     if center is None or radius < -FEASIBILITY_TOL:
-        return {}
-    out = {}
-    for h in joint.halfspaces:
-        if abs(h.margin(center)) <= max(1e-7, 10 * abs(radius)):
-            alpha, beta, sign = h.canonical()
-            # orient by which side region i's deepest point lies on
-            ci, _ = chebyshev_center(ri, box=box)
-            side_i = 1.0 if ci is not None and float(alpha @ ci - beta) >= 0 else -1.0
-            out[hyperplane_key(alpha, beta)] = (alpha, beta, side_i)
-    return out
+        return []
+    A, c = joint.matrix_form()
+    tight = np.abs(A @ center - c) <= max(1e-7, 10 * abs(radius))
+    return [canon[k][:2] for k in np.nonzero(tight)[0]]
 
 
 # ---------------------------------------------------------------------------
@@ -478,15 +450,15 @@ class ContinuityReport:
         return "\n".join(lines)
 
 
-def check_continuity(model, samples_per_facet=5, box=None):
-    """Compare adjacent pieces on sampled facet points.
+def check_continuity(model):
+    """Compare adjacent pieces on five sampled points of every facet.
 
     Two pieces must agree on their shared facet to a 1e-9 relative
     tolerance; every disagreement is reported with a witness point.
     """
-    report = ContinuityReport(facets=find_facets(model, box=box))
+    report = ContinuityReport(facets=find_facets(model))
     for f in report.facets:
-        pts = f.sample_points(samples_per_facet)
+        pts = f.sample_points(5)
         vi = model.pieces[f.i].values(pts)
         vj = model.pieces[f.j].values(pts)
         scale = np.maximum(1.0, np.maximum(np.abs(vi), np.abs(vj)))
@@ -525,15 +497,17 @@ class ConsistentVariationResult:
         return self.representable
 
 
-def check_consistent_variation(model, box=None, rtol=1e-9):
+def check_consistent_variation(model, continuity=None):
     """Decide CPLR representability via boundary Jacobian jumps.
 
     For every boundary hyperplane, the oriented Jacobian difference of each
     adjacent region pair must be a scalar multiple of the hyperplane normal,
     and that scalar must be the same for every pair crossing the hyperplane.
-    The first failing hyperplane is returned as certificate.
+    The first failing hyperplane is returned as certificate.  The facets
+    come from ``continuity``, the model's ``check_continuity`` report, which
+    is computed here when the caller has none.
     """
-    cont = check_continuity(model, box=box)
+    cont = check_continuity(model) if continuity is None else continuity
     if not cont.ok:
         raise DiscontinuousModelError(
             "consistent variation is defined for continuous models only; "
@@ -542,7 +516,7 @@ def check_consistent_variation(model, box=None, rtol=1e-9):
     groups = {}
     jumps = []
     for f in cont.facets:
-        key = f.key()
+        key = hyperplane_key(f.alpha, f.beta)
         if f.side_i > 0:
             pos, neg = f.i, f.j
         else:
@@ -551,7 +525,7 @@ def check_consistent_variation(model, box=None, rtol=1e-9):
         c = float(f.alpha @ delta)
         resid = delta - c * f.alpha
         scale = max(1.0, float(np.linalg.norm(delta)))
-        parallel = bool(np.linalg.norm(resid) <= rtol * scale)
+        parallel = bool(np.linalg.norm(resid) <= CONTINUITY_RTOL * scale)
         jump = BoundaryJump(key, model.regions[pos].label,
                             model.regions[neg].label, delta, c, parallel)
         jumps.append(jump)
@@ -564,7 +538,7 @@ def check_consistent_variation(model, box=None, rtol=1e-9):
                 return ConsistentVariationResult(False, key, jumps, hyperplanes)
         scalars = np.array([j.scalar for j in grp])
         ref = scalars[0]
-        if np.any(np.abs(scalars - ref) > rtol * max(1.0, abs(ref))):
+        if np.any(np.abs(scalars - ref) > CONTINUITY_RTOL * max(1.0, abs(ref))):
             return ConsistentVariationResult(False, key, jumps, hyperplanes)
         hyperplanes[key] = (alpha, float(beta), float(ref))
     return ConsistentVariationResult(True, None, jumps, hyperplanes)

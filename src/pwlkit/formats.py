@@ -81,10 +81,22 @@ class _Reader:
         raise ParseError(message, self.pos, column)
 
 
+class _Fields(dict):
+    """``key=value`` fields of one line; a missing key is a parse error there."""
+
+    def __init__(self, line):
+        super().__init__()
+        self.line = line
+
+    def __missing__(self, key):
+        raise ParseError(f"missing field {key}=", self.line)
+
+
 def _fields(line, reader):
-    """Parse ``key=value`` tokens after the first token of a line."""
-    out = {}
-    for tok in line.split()[1:]:
+    """Parse the ``key=value`` tokens of a line, after its tag if it has one."""
+    out = _Fields(reader.pos)
+    tokens = line.split()
+    for tok in tokens[1:] if tokens and "=" not in tokens[0] else tokens:
         if "=" not in tok:
             reader.error(f"malformed field {tok!r}", needle=tok)
         k, v = tok.split("=", 1)
@@ -285,8 +297,7 @@ def _read_conventional(r, fields):
     pieces_n = _int(fields.get("pieces", ""), r)
     pieces, regions = [], []
     for label in range(pieces_n):
-        line = r.next("J=")
-        f = dict(tok.split("=", 1) for tok in line.split())
+        f = _fields(r.next("J="), r)
         pieces.append(AffineFunction(_floats(f["J"], r), _float(f["b"], r)))
         hs = _read_halfspaces(r)
         if not hs:
@@ -419,13 +430,16 @@ def _read_network(r, fields):
     for _ in range(_int(fields.get("layers", "0"), r)):
         lf = _fields(r.next("layer:"), r)
         kind = lf.pop("activation", "linear")
-        out_rows = _int(lf.pop("out"), r)
+        out_rows = _int(lf["out"], r)
+        del lf["out"]
         config = {}
         for k, v in lf.items():
             try:
                 config[k] = int(v)
             except ValueError:
                 config[k] = float(v)
+        if kind == "maxout" and config.get("k", 2) < 1:
+            r.error("maxout group size must be at least 1", needle="k=")
         W = _read_matrix(r, "W")
         bline = r.next("b:")
         b = _floats(bline.split(":", 1)[1].strip(), r)

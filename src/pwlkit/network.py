@@ -317,7 +317,7 @@ class Maxout(Activation):
         return z.reshape(z.shape[0], self.width, self.k)
 
     def pattern(self, z):
-        return np.argmax(self._grouped(z), axis=2).astype(np.int8)
+        return np.argmax(self._grouped(z), axis=2)
 
     def apply(self, z, p):
         g = self._grouped(z)

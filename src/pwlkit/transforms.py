@@ -253,14 +253,26 @@ def ghh_from_dc(f):
 # Lattice from a region-wise model
 # ---------------------------------------------------------------------------
 
+def _verify_on_grid(model, candidate, pts, what):
+    """Raise unless ``candidate`` matches ``model`` to 1e-9 on the grid
+    points inside the model's domain."""
+    if model.domain is not None:
+        pts = pts[model.domain.contains_many(pts, tol=1e-9)]
+    err = np.max(np.abs(candidate.values(pts) - model.values(pts)), initial=0.0)
+    if err > 1e-9:
+        raise RuntimeError(f"{what} failed verification: max deviation {err:.3e}")
+
+
 def lattice_from_conventional(model, probe_density=33, box=None):
     """Build the max-min form by probing piece dominance region by region.
 
     Row ``i`` keeps every piece that never falls below piece ``i`` on the
     probed points of region ``i``.  The construction is verified: the
-    lattice must reproduce the model at every probe point.
+    lattice must reproduce the model at every probe point.  Continuity is
+    checked over the model's ``domain_box``; the probe grid spans ``box``,
+    by default that same box (which needs a domain).
     """
-    cont = check_continuity(model, box=box if model.domain is None else None)
+    cont = check_continuity(model)
     if not cont.ok:
         raise DiscontinuousModelError(
             "lattice construction requires a continuous model; "
@@ -270,15 +282,15 @@ def lattice_from_conventional(model, probe_density=33, box=None):
         if model.domain is None:
             raise ValueError("model has no domain; pass an explicit probe box")
         box = model.domain_box()
-    lo, hi = box
-    pts = grid_points(lo, hi, probe_density)
+    pts = grid_points(*box, probe_density)
     piece_vals = np.column_stack([p.values(pts) for p in model.pieces])
-    d = model.piece_count
     sets = []
-    for i in range(d):
+    for i in range(model.piece_count):
         member = model.regions[i].contains_many(pts, tol=1e-9)
         if not np.any(member):
-            center = _region_probe_point(model, i, box)
+            center, _ = chebyshev_center(model.regions[i], box=box)
+            if center is None:
+                raise RuntimeError(f"region {i} has no feasible point inside the probe box")
             vals_c = np.array([p.value(center) for p in model.pieces])
             dominated = vals_c >= vals_c[i]
         else:
@@ -288,43 +300,26 @@ def lattice_from_conventional(model, probe_density=33, box=None):
         s.add(i)
         sets.append(sorted(s))
     lattice = LatticeModel(model.pieces, sets)
-
-    inside = np.ones(pts.shape[0], dtype=bool)
-    if model.domain is not None:
-        inside = model.domain.contains_many(pts, tol=1e-9)
-    got = lattice.values(pts[inside])
-    want = model.values(pts[inside])
-    err = np.max(np.abs(got - want)) if np.any(inside) else 0.0
-    if err > 1e-9:
-        raise RuntimeError(
-            f"lattice construction failed verification: max deviation {err:.3e}"
-        )
+    _verify_on_grid(model, lattice, pts, "lattice construction")
     return lattice
-
-
-def _region_probe_point(model, i, box):
-    center, radius = chebyshev_center(model.regions[i], box=box)
-    if center is None:
-        raise RuntimeError(f"region {i} has no feasible point inside the probe box")
-    return center
 
 
 # ---------------------------------------------------------------------------
 # Canonical form from a consistent region-wise model
 # ---------------------------------------------------------------------------
 
-def cplr_from_consistent(model, grid_density=33, box=None):
+def cplr_from_consistent(model):
     """Reconstruct the canonical sum-of-absolute-values form, fit free.
 
     One absolute-value term per boundary hyperplane; the affine part and
     per-hyperplane coefficients are solved by least squares over region
-    Jacobians, then the result is verified on a dense grid.
+    Jacobians, then the result is verified on a 33-per-axis grid over the
+    model's ``domain_box``.
     """
-    verdict = check_consistent_variation(model, box=None)
+    verdict = check_consistent_variation(model)
     if not verdict.representable:
         raise NotCplrRepresentableError(verdict.certificate)
-    if box is None:
-        box = model.domain_box()
+    box = model.domain_box()
     n = model.dimension
     planes = list(verdict.hyperplanes.values())   # (alpha, beta, jump scalar)
     h = len(planes)
@@ -361,17 +356,7 @@ def cplr_from_consistent(model, grid_density=33, box=None):
         eta = 1 if g > 0 else -1
         terms.append((eta, abs(g) * alpha, -abs(g) * beta))
     cplr = CplrModel(alpha0, beta0, terms)
-
-    lo, hi = box
-    pts = grid_points(lo, hi, grid_density)
-    keep = np.ones(pts.shape[0], dtype=bool)
-    if model.domain is not None:
-        keep = model.domain.contains_many(pts, tol=1e-9)
-    err = np.max(np.abs(cplr.values(pts[keep]) - model.values(pts[keep])))
-    if err > 1e-9:
-        raise RuntimeError(
-            f"canonical reconstruction failed verification: max deviation {err:.3e}"
-        )
+    _verify_on_grid(model, cplr, grid_points(*box, 33), "canonical reconstruction")
     return cplr
 
 
