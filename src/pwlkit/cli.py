@@ -29,6 +29,7 @@ from .formats import load_model, save_model, write_text_atomic
 from .learning import Dataset, FitConfig, fit_ahh, fit_hh, fit_sbf
 from .models import CplrModel, HingeModel
 from .network import (
+    ACTIVATION_KINDS,
     PwlNetwork,
     TrainConfig,
     count_regions,
@@ -52,7 +53,7 @@ EXIT_VIOLATIONS = 5
 EXIT_BUDGET = 6
 EXIT_USAGE = 64
 
-# Largest point count an ``eval --grid`` spec may ask for.
+# Largest point count an ``eval --grid`` spec or a ``--density`` grid may ask for.
 MAX_GRID_POINTS = 10**7
 
 
@@ -72,18 +73,26 @@ def _fail(code, message):
     return code
 
 
+def _components(spec, what, form):
+    """The comma-separated components of a spec, each ``form`` in finite floats."""
+    rows = []
+    for part in spec.split(","):
+        try:
+            row = [float(v) for v in part.split(":")]
+        except ValueError:
+            row = []
+        if len(row) != form.count(":") + 1 or not np.all(np.isfinite(row)):
+            raise UsageError(f"bad {what} component {part!r}, want finite {form}")
+        rows.append(row)
+    return rows
+
+
 def _parse_box(spec, dim=None):
     """Box spec ``lo:hi[,lo:hi...]`` into (lo, hi) arrays."""
-    lo, hi = [], []
-    for part in spec.split(","):
-        bits = part.split(":")
-        if len(bits) != 2:
-            raise UsageError(f"bad box component {part!r}, want lo:hi")
-        lo.append(float(bits[0]))
-        hi.append(float(bits[1]))
-    if dim is not None and len(lo) != dim:
-        raise UsageError(f"box has {len(lo)} components, model needs {dim}")
-    return np.array(lo), np.array(hi)
+    lo, hi = np.array(_components(spec, "box", "lo:hi")).T
+    if dim is not None and lo.shape[0] != dim:
+        raise UsageError(f"box has {lo.shape[0]} components, model needs {dim}")
+    return lo, hi
 
 
 def _parse_grid(spec):
@@ -93,19 +102,32 @@ def _parse_grid(spec):
     than ``MAX_GRID_POINTS`` points is refused before anything is allocated.
     """
     axes = []
-    for part in spec.split(","):
-        bits = part.split(":")
-        try:
-            a, b, step = (float(v) for v in bits)
-        except ValueError:
-            raise UsageError(f"bad grid component {part!r}, want a:b:step") from None
+    for a, b, step in _components(spec, "grid", "a:b:step"):
         if not (step > 0 and b >= a and np.isfinite(b - a)):
-            raise UsageError(f"bad grid range {part!r}")
+            raise UsageError(f"bad grid range {a!r}:{b!r}:{step!r}")
         axes.append((a, step, np.floor((b - a) / step + 0.5) + 1))
     total = float(np.prod([n for _, _, n in axes]))
     if not total <= MAX_GRID_POINTS:
         raise UsageError(f"grid has {total:.4g} points, the limit is {MAX_GRID_POINTS}")
     return mesh_points([a + step * np.arange(int(n)) for a, step, n in axes])
+
+
+def _check_density(density, dim):
+    """Refuse a per-axis density whose grid in ``dim`` dimensions is too big."""
+    if density < 0 or float(density) ** dim > MAX_GRID_POINTS:
+        raise UsageError(f"--density {density} in {dim} dimensions is out of range "
+                         f"(0 to {MAX_GRID_POINTS} grid points)")
+
+
+def _hidden_sizes(spec):
+    """Hidden layer sizes ``16,16`` as positive integers."""
+    try:
+        sizes = [int(v) for v in spec.split(",")]
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"bad hidden sizes {spec!r}") from None
+    if any(h < 1 for h in sizes):
+        raise argparse.ArgumentTypeError("hidden sizes must be positive")
+    return sizes
 
 
 def _read_config(path):
@@ -132,13 +154,13 @@ def _coerce(value, like):
 def _build_config(cls, file_values, overrides):
     defaults = cls()
     kwargs = {}
-    for key, value in file_values.items():
-        if hasattr(defaults, key):
-            kwargs[key] = _coerce(value, getattr(defaults, key))
-    for key, value in overrides.items():
-        if value is not None:
-            kwargs[key] = value
     try:
+        for key, value in file_values.items():
+            if hasattr(defaults, key):
+                kwargs[key] = _coerce(value, getattr(defaults, key))
+        for key, value in overrides.items():
+            if value is not None:
+                kwargs[key] = value
         return cls(**kwargs)
     except (TypeError, ValueError) as e:
         raise UsageError(str(e)) from e
@@ -171,10 +193,7 @@ def cmd_fit(args):
                      "batch_size": args.batch_size,
                      "epochs": args.epochs, "seed": args.seed}
         cfg = _build_config(TrainConfig, file_values, overrides)
-        hidden = [int(v) for v in (args.hidden or "16,16").split(",")]
-        if any(h < 1 for h in hidden):
-            raise UsageError("hidden sizes must be positive")
-        net = network_from_sizes([data.dim] + hidden + [1], args.activation)
+        net = network_from_sizes([data.dim] + args.hidden + [1], args.activation)
         init_params(net, scheme=cfg.init, seed=cfg.seed)
         net, curve = train_sgd(net, data, cfg)
         model = net
@@ -286,6 +305,8 @@ def cmd_convert(args):
     except (OSError, ParseError) as e:
         return _fail(EXIT_INPUT, f"cannot load model: {e}")
 
+    box = _parse_box(args.box, model.dim) if args.box else None
+    _check_density(args.density, model.dim)
     target_kind = args.to
     try:
         if target_kind == "lattice":
@@ -328,11 +349,9 @@ def cmd_convert(args):
     except (DiscontinuousModelError, ValueError) as e:
         return _fail(EXIT_INPUT, f"conversion failed: {e}")
 
-    if args.box:
-        box = _parse_box(args.box, model.dim)
-    elif isinstance(model, ConventionalPWL) and model.domain is not None:
+    if box is None and isinstance(model, ConventionalPWL) and model.domain is not None:
         box = model.domain_box()
-    else:
+    elif box is None:
         box = (np.full(model.dim, -1.0), np.full(model.dim, 1.0))
     report = check_equivalence(model, target, box, grid_density=args.density,
                                tolerance=args.tolerance)
@@ -427,6 +446,7 @@ def cmd_equiv(args):
         return _fail(EXIT_INPUT,
                      f"dimension mismatch: {a.dim} vs {b.dim}")
     box = _parse_box(args.box, a.dim)
+    _check_density(args.density, a.dim)
     report = check_equivalence(a, b, box, grid_density=args.density,
                                tolerance=args.tolerance)
     print(report)
@@ -477,8 +497,8 @@ def build_parser():
     f.add_argument("--seed", type=int, default=None)
     f.add_argument("--ridge", type=float, default=None)
     f.add_argument("--validation-split", type=float, default=None)
-    f.add_argument("--hidden", help="dnn hidden sizes, e.g. 16,16")
-    f.add_argument("--activation", default="relu")
+    f.add_argument("--hidden", type=_hidden_sizes, default="16,16", help="e.g. 16,16")
+    f.add_argument("--activation", default="relu", choices=[*ACTIVATION_KINDS, "linear"])
     f.add_argument("--learning-rate", type=float, default=None)
     f.add_argument("--batch-size", type=int, default=None)
     f.add_argument("--epochs", type=int, default=None)

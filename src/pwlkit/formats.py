@@ -437,22 +437,19 @@ def _read_network(r, fields):
             try:
                 config[k] = int(v)
             except ValueError:
-                config[k] = float(v)
+                config[k] = _float(v, r)
         if kind == "maxout" and config.get("k", 2) < 1:
             r.error("maxout group size must be at least 1", needle="k=")
+        width = out_rows // config.get("k", 2) if kind == "maxout" else out_rows
+        try:
+            act = make_activation(kind, width, **config)
+        except (TypeError, ValueError) as e:
+            r.error(f"bad layer: {e}")
         W = _read_matrix(r, "W")
         bline = r.next("b:")
         b = _floats(bline.split(":", 1)[1].strip(), r)
-        if kind == "linear":
-            act = None
-        else:
-            width = out_rows
-            if kind == "maxout":
-                width = out_rows // config.get("k", 2)
-            act = make_activation(kind, width, **config)
-            for i, arr in enumerate(act.param_arrays()):
-                data = _read_matrix(r, f"param{i}")
-                arr[...] = data.reshape(arr.shape)
+        for i, arr in enumerate(act.param_arrays() if act else ()):
+            arr[...] = _read_matrix(r, f"param{i}").reshape(arr.shape)
         layers.append(Layer(W, b, act))
     return PwlNetwork(layers)
 

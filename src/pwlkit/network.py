@@ -423,14 +423,6 @@ class PwlNetwork:
     def hidden_unit_count(self):
         return sum(l.activation.width for l in self.layers if l.activation)
 
-    def parameter_count(self):
-        count = 0
-        for l in self.layers:
-            count += l.weight.size + l.bias.size
-            if l.activation:
-                count += sum(a.size for a in l.activation.param_arrays())
-        return count
-
     def parameters(self):
         """Mutable parameter arrays, in a stable order."""
         out = []
@@ -489,16 +481,12 @@ def network_from_sizes(sizes, activation="relu", maxout_k=2, **config):
     """Zero-initialized network from layer sizes m0..m_{K+1}."""
     layers = []
     for i in range(len(sizes) - 1):
-        is_output = i == len(sizes) - 2
-        width = sizes[i + 1]
-        if is_output:
-            act = None
-            rows = width
-        else:
-            act = make_activation(activation, width,
+        act = None
+        if i < len(sizes) - 2:      # hidden layer; "linear" leaves it affine
+            act = make_activation(activation, sizes[i + 1],
                                   **({"k": maxout_k} if activation == "maxout"
                                      else config))
-            rows = act.pre_width()
+        rows = sizes[i + 1] if act is None else act.pre_width()
         layers.append(Layer(np.zeros((rows, sizes[i])), np.zeros(rows), act))
     return PwlNetwork(layers)
 
@@ -673,9 +661,7 @@ class ActivationPattern:
 
 def activation_pattern(net, x):
     """Branch state at a point; fixing it makes the network affine."""
-    _, cache = net.forward(x)
-    codes = tuple(p[0] for (_, _, p) in cache if p is not None)
-    return ActivationPattern(codes)
+    return _patterns_of_batch(net, np.atleast_1d(x)[None, :])[0]
 
 
 def local_affine_map(net, pattern):
@@ -712,25 +698,34 @@ def masked_forward(net, pattern, x):
     operation for operation.
     """
     a = np.atleast_1d(np.asarray(x, dtype=float))[None, :]
-    hidden = 0
+    codes = iter(pattern.codes)
     for layer in net.layers:
-        z = a @ layer.weight.T + layer.bias
-        if layer.activation is None:
-            a = z
-        else:
-            a = layer.activation.apply(z, pattern.codes[hidden][None, :])
-            hidden += 1
+        a = a @ layer.weight.T + layer.bias
+        if layer.activation is not None:
+            a = layer.activation.apply(a, next(codes)[None, :])
     return a[0]
 
 
-def _patterns_of_batch(net, X):
+def _hidden_codes(net, X):
+    """The points as an ``(N, n)`` array and each hidden layer's codes there."""
     X = np.atleast_2d(np.asarray(X, dtype=float))
     _, cache = net.forward_batch(X, want_cache=True)
-    per_layer = [p for (_, _, p) in cache if p is not None]
-    out = []
-    for i in range(X.shape[0]):
-        out.append(ActivationPattern(tuple(p[i] for p in per_layer)))
-    return out
+    return X, [p for (_, _, p) in cache if p is not None]
+
+
+def _patterns_of_batch(net, X):
+    X, per_layer = _hidden_codes(net, X)
+    return [ActivationPattern(tuple(p[i] for p in per_layer)) for i in range(X.shape[0])]
+
+
+def _distinct_patterns(net, X):
+    """``(pattern, first row)`` per distinct pattern at the rows of X, in order
+    of first appearance; one forward pass, the layers' own code dtypes kept."""
+    X, per_layer = _hidden_codes(net, X)
+    codes = np.concatenate([np.empty((X.shape[0], 0), np.int64)] + per_layer, axis=1)
+    first = np.sort(np.unique(codes, axis=0, return_index=True)[1])
+    return [(ActivationPattern(tuple(p[i] for p in per_layer)), X[i].copy())
+            for i in first]
 
 
 def _pattern_margin(net, x):
@@ -766,85 +761,72 @@ class RegionCount:
     bound: int | None   # arrangement bound, one-hidden-layer nets only
 
 
-def _one_hidden_relu_like(net):
-    return (len(net.layers) == 2
-            and isinstance(net.layers[0].activation, (Relu, LeakyRelu,
-                                                      ParametricRelu,
-                                                      FlexibleRelu)))
-
-
 def count_regions(net, box, method="pattern-enumeration", grid_density=None):
-    """Count linear pieces of the network map inside a box.
+    """Lower bounds on the linear regions of the network map inside a box.
 
-    ``grid-probe`` counts distinct composed affine maps over a dense grid
-    (a certified lower bound).  ``pattern-enumeration`` additionally walks
-    across every unit's local boundary from each discovered region, which
-    reaches regions a coarse grid misses; it refuses nets above the
-    enumeration budget.
+    Both methods seed from the distinct activation patterns on a grid over
+    the box; neither is exhaustive.  ``grid-probe`` counts the distinct
+    composed affine maps ``(J, c)`` of the patterns on a dense grid.
+    ``pattern-enumeration`` counts the activation patterns that a heuristic
+    walk from a coarse grid reaches by stepping just across each unit's local
+    boundary; it refuses nets above the enumeration budget.
     """
     lo = np.atleast_1d(np.asarray(box[0], dtype=float))
     hi = np.atleast_1d(np.asarray(box[1], dtype=float))
     n = net.in_dim
     if method == "grid-probe":
         density = grid_density or (201 if n <= 2 else 31)
-        pts = grid_points(lo, hi, density)
         seen = {}
-        for x, pat in zip(pts, _patterns_of_batch(net, pts)):
+        for pat, x in _distinct_patterns(net, grid_points(lo, hi, density)):
             J, c = local_affine_map(net, pat)
-            key = (J.tobytes(), c.tobytes())
-            if key not in seen:
-                seen[key] = RegionCertificate(x.copy(), J, c)
+            seen.setdefault((J.tobytes(), c.tobytes()), RegionCertificate(x, J, c))
         certs = list(seen.values())
-        return RegionCount(len(certs), method, certs, _bound_if_shallow(net, n))
+        return RegionCount(len(certs), method, certs, _arrangement_bound(net))
     if method != "pattern-enumeration":
         raise ValueError(f"unknown method {method!r}")
     if net.hidden_unit_count > ENUMERATION_BUDGET:
         raise BudgetExceededError(net.hidden_unit_count, ENUMERATION_BUDGET)
 
     density = grid_density or (41 if n <= 2 else 11)
-    pts = grid_points(lo, hi, density)
-    queue = []
-    seen = {}
-    for x, pat in zip(pts, _patterns_of_batch(net, pts)):
-        if pat not in seen:
-            seen[pat] = x.copy()
-            queue.append((pat, x.copy()))
+    seen = dict(_distinct_patterns(net, grid_points(lo, hi, density)))
+    queue = list(seen.items())
     span = float(np.max(hi - lo))
     while queue:
-        pat, x = queue.pop()
-        for x2 in _boundary_crossings(net, pat, x, lo, hi, span):
-            p2 = _patterns_of_batch(net, x2[None, :])[0]
-            if p2 not in seen:
-                seen[p2] = x2.copy()
-                queue.append((p2, x2.copy()))
-    certs = []
-    for pat, x in seen.items():
-        J, c = local_affine_map(net, pat)
-        certs.append(RegionCertificate(x, J, c))
-    return RegionCount(len(certs), method, certs, _bound_if_shallow(net, n))
+        crossings = _boundary_crossings(net, *queue.pop(), lo, hi, span)
+        for pat, x in _distinct_patterns(net, crossings):
+            if pat not in seen:
+                seen[pat] = x
+                queue.append((pat, x))
+    certs = [RegionCertificate(x, *local_affine_map(net, pat)) for pat, x in seen.items()]
+    return RegionCount(len(certs), method, certs, _arrangement_bound(net))
 
 
-def _bound_if_shallow(net, n):
-    if _one_hidden_relu_like(net):
-        return zaslavsky_bound(net.layers[0].activation.width, n)
+def _arrangement_bound(net):
+    """Zaslavsky bound for one-hidden-layer relu-like nets, else None."""
+    first = net.layers[0].activation
+    if len(net.layers) == 2 and isinstance(first, (Relu, LeakyRelu, ParametricRelu,
+                                                   FlexibleRelu)):
+        return zaslavsky_bound(first.width, net.in_dim)
     return None
 
 
 def _boundary_crossings(net, pattern, x, lo, hi, span):
-    """Candidate witness points just across each unit's local boundary."""
-    out = []
+    """Points just across each unit's local boundary, two overshoots per row."""
+    out = [np.empty((0, x.shape[0]))]
     for act, code, Jz, cz in _pre_activation_maps(net, pattern):
         if act is None:
             continue
         D, t = act.kinks(code)
         # boundary r is the hyperplane D[r] . (Jz x + cz) = t[r] on this region
-        for gdir, gval in zip(D @ Jz, D @ (Jz @ x + cz) - t):
-            norm2 = float(gdir @ gdir)
-            if norm2 <= 1e-18:
-                continue
-            # step across the local hyperplane with a small overshoot
-            for overshoot in (1e-7 * span, 1e-4 * span):
-                x2 = x - ((gval + np.sign(gval or 1.0) * overshoot) / norm2) * gdir
-                x2 = np.clip(x2, lo, hi)
-                out.append(x2)
-    return out
+        G, gval = D @ Jz, D @ (Jz @ x + cz) - t
+        # one dot product per row: a batched reduction rounds differently
+        norm2 = np.array([g @ g for g in G])
+        keep = ~(norm2 <= 1e-18)
+        G, gval, norm2 = G[keep], gval[keep], norm2[keep]
+        # step across the local hyperplane with a small, then a larger overshoot
+        side = np.where(gval == 0, 1.0, np.sign(gval))
+        shift = side[:, None] * (np.array([1e-7, 1e-4]) * span)
+        step = (gval[:, None] + shift) / norm2[:, None]
+        out.append(np.clip(x - step[:, :, None] * G[:, None, :], lo, hi)
+                   .reshape(-1, x.shape[0]))
+    return np.concatenate(out)

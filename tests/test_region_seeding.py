@@ -1,0 +1,170 @@
+"""Region analysis seeds from distinct activation patterns: one affine map per
+pattern on the grid probe, one forward pass per walk step, and certificates
+byte-identical to the per-point analysis kept here as the reference."""
+
+import numpy as np
+import pytest
+
+import pwlkit.network as network
+from pwlkit.affine import grid_points
+from pwlkit.network import (
+    ENUMERATION_BUDGET,
+    PwlNetwork,
+    RegionCertificate,
+    _patterns_of_batch,
+    _pre_activation_maps,
+    count_regions,
+    init_params,
+    local_affine_map,
+    network_from_sizes,
+)
+
+KINDS = [("relu", {}), ("leaky_relu", {}), ("parametric_relu", {}),
+         ("s_shaped_relu", {}), ("flexible_relu", {}), ("apl", {"segments": 2}),
+         ("maxout", {})]
+SIZES = [(2, 4, 1), (2, 3, 3, 1)]
+BOX = (np.array([-1.0, -1.0]), np.array([1.0, 1.0]))
+GRID_DENSITY = 61   # a smaller probe grid keeps the per-point reference quick
+
+
+def perturbed_net(kind, config, sizes, seed=3):
+    net = network_from_sizes(list(sizes), kind, **config)
+    init_params(net, seed=seed)
+    rng = np.random.default_rng(seed + 100)
+    for layer in net.layers:
+        layer.bias[...] = rng.normal(0.0, 0.3, layer.bias.shape)
+        if layer.activation:
+            for arr in layer.activation.param_arrays():
+                arr[...] = rng.uniform(0.1, 0.7, arr.shape)
+    return net
+
+
+def shallow_relu_net(seed):
+    net = network_from_sizes([2, 6, 1], "relu")
+    init_params(net, seed=seed)
+    net.layers[0].bias[...] = np.random.default_rng(seed).uniform(-0.5, 0.5, 6)
+    return net
+
+
+# ---------------------------------------------------------------------------
+# Reference: the per-point analysis, one pattern and one map per point
+# ---------------------------------------------------------------------------
+
+def reference_crossings(net, pattern, x, lo, hi, span):
+    out = []
+    for act, code, Jz, cz in _pre_activation_maps(net, pattern):
+        if act is None:
+            continue
+        D, t = act.kinks(code)
+        for gdir, gval in zip(D @ Jz, D @ (Jz @ x + cz) - t):
+            norm2 = float(gdir @ gdir)
+            if norm2 <= 1e-18:
+                continue
+            for overshoot in (1e-7 * span, 1e-4 * span):
+                x2 = x - ((gval + np.sign(gval or 1.0) * overshoot) / norm2) * gdir
+                out.append(np.clip(x2, lo, hi))
+    return out
+
+
+def reference_certificates(net, box, method, grid_density=None):
+    lo, hi = (np.asarray(b, dtype=float) for b in box)
+    if method == "grid-probe":
+        pts = grid_points(lo, hi, grid_density or 201)
+        seen = {}
+        for x, pat in zip(pts, _patterns_of_batch(net, pts)):
+            J, c = local_affine_map(net, pat)
+            key = (J.tobytes(), c.tobytes())
+            if key not in seen:
+                seen[key] = RegionCertificate(x.copy(), J, c)
+        return list(seen.values())
+    pts = grid_points(lo, hi, grid_density or 41)
+    queue, seen = [], {}
+    for x, pat in zip(pts, _patterns_of_batch(net, pts)):
+        if pat not in seen:
+            seen[pat] = x.copy()
+            queue.append((pat, x.copy()))
+    span = float(np.max(hi - lo))
+    while queue:
+        pat, x = queue.pop()
+        for x2 in reference_crossings(net, pat, x, lo, hi, span):
+            p2 = _patterns_of_batch(net, x2[None, :])[0]
+            if p2 not in seen:
+                seen[p2] = x2.copy()
+                queue.append((p2, x2.copy()))
+    return [RegionCertificate(x, *local_affine_map(net, pat)) for pat, x in seen.items()]
+
+
+def certificate_bytes(certs):
+    return [(c.point.tobytes(), c.jacobian.tobytes(), c.bias.tobytes()) for c in certs]
+
+
+@pytest.mark.parametrize("method", ["grid-probe", "pattern-enumeration"])
+@pytest.mark.parametrize("sizes", SIZES, ids=lambda s: "-".join(map(str, s)))
+@pytest.mark.parametrize("kind,config", KINDS, ids=[k for k, _ in KINDS])
+def test_certificates_match_per_point_reference(kind, config, sizes, method):
+    net = perturbed_net(kind, config, sizes)
+    density = GRID_DENSITY if method == "grid-probe" else None
+    result = count_regions(net, BOX, method=method, grid_density=density)
+    want = reference_certificates(net, BOX, method, grid_density=density)
+    assert result.count == len(want) > 1
+    assert certificate_bytes(result.certificates) == certificate_bytes(want)
+
+
+# ---------------------------------------------------------------------------
+# Call counts
+# ---------------------------------------------------------------------------
+
+def count_calls(monkeypatch, owner, name):
+    calls = []
+    inner = getattr(owner, name)
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("sizes", SIZES, ids=lambda s: "-".join(map(str, s)))
+def test_grid_probe_composes_one_map_per_distinct_pattern(monkeypatch, sizes):
+    net = perturbed_net("relu", {}, sizes)
+    pts = grid_points(*BOX, GRID_DENSITY)
+    distinct = len(set(_patterns_of_batch(net, pts)))
+    calls = count_calls(monkeypatch, network, "local_affine_map")
+    result = count_regions(net, BOX, method="grid-probe", grid_density=GRID_DENSITY)
+    assert len(calls) == distinct < pts.shape[0]
+    assert result.count <= distinct
+
+
+@pytest.mark.parametrize("sizes", SIZES, ids=lambda s: "-".join(map(str, s)))
+def test_walk_runs_one_forward_pass_per_region(monkeypatch, sizes):
+    net = perturbed_net("apl", {"segments": 2}, sizes)
+    passes = count_calls(monkeypatch, PwlNetwork, "forward_batch")
+    maps = count_calls(monkeypatch, network, "local_affine_map")
+    result = count_regions(net, BOX, method="pattern-enumeration")
+    assert 1 < len(passes) <= result.count + 1
+    assert len(maps) == result.count
+
+
+def test_net_without_hidden_units_has_one_region():
+    net = network_from_sizes([2, 1], "relu")
+    init_params(net, seed=0)
+    for method in ("grid-probe", "pattern-enumeration"):
+        result = count_regions(net, BOX, method=method)
+        assert result.count == 1
+        assert np.array_equal(result.certificates[0].point, BOX[0])
+
+
+# ---------------------------------------------------------------------------
+# What the counts do not guarantee
+# ---------------------------------------------------------------------------
+
+@pytest.mark.xfail(strict=True, reason="the boundary walk misses a region that a "
+                   "density-801 grid probe finds (20 patterns against 21 maps)")
+def test_enumeration_reaches_every_grid_probed_map():
+    net = shallow_relu_net(seed=1)
+    assert net.hidden_unit_count <= ENUMERATION_BUDGET
+    dense = count_regions(net, BOX, method="grid-probe", grid_density=801)
+    walked = count_regions(net, BOX, method="pattern-enumeration")
+    assert walked.count >= dense.count
