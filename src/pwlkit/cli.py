@@ -56,6 +56,9 @@ EXIT_USAGE = 64
 # Largest point count an ``eval --grid`` spec or a ``--density`` grid may ask for.
 MAX_GRID_POINTS = 10**7
 
+# Rows ``eval`` formats at a time.
+EVAL_BLOCK_ROWS = 4096
+
 
 class UsageError(Exception):
     pass
@@ -88,8 +91,12 @@ def _components(spec, what, form):
 
 
 def _parse_box(spec, dim=None):
-    """Box spec ``lo:hi[,lo:hi...]`` into (lo, hi) arrays."""
-    lo, hi = np.array(_components(spec, "box", "lo:hi")).T
+    """Box spec ``lo:hi[,lo:hi...]`` into (lo, hi) arrays, ``lo < hi`` on every axis."""
+    rows = _components(spec, "box", "lo:hi")
+    for part, (a, b) in zip(spec.split(","), rows):
+        if not a < b:
+            raise UsageError(f"bad box component {part!r}, want lo < hi")
+    lo, hi = np.array(rows).T
     if dim is not None and lo.shape[0] != dim:
         raise UsageError(f"box has {lo.shape[0]} components, model needs {dim}")
     return lo, hi
@@ -263,37 +270,72 @@ def cmd_eval(args):
         points = _parse_grid(args.grid)
     else:
         try:
-            with open(args.points, newline="") as fh:
-                rows = [r for r in csv.reader(fh) if r]
-        except OSError as e:
+            rows = _read_points(args.points)
+        except (OSError, ValueError, csv.Error) as e:
             return _fail(EXIT_INPUT, f"cannot read points: {e}")
-        if rows:
-            try:
-                [float(v) for v in rows[0]]
-            except ValueError:
-                rows = rows[1:]
-        if not rows:
-            points = np.empty((0, model.dim))
-        else:
-            points = np.array([[float(v) for v in r] for r in rows])
+        points = np.array(rows) if rows else np.empty((0, model.dim))
     if points.shape[0] and points.shape[1] != model.dim:
         return _fail(EXIT_INPUT,
                      f"points have dimension {points.shape[1]}, "
                      f"model expects {model.dim}")
-    lines = []
+    text = ""
     if points.shape[0]:
         try:
             values = model.values(points)
         except PwlError as e:
             return _fail(EXIT_INPUT, f"evaluation failed: {e}")
-        for x, v in zip(points, values):
-            lines.append(",".join(repr(float(c)) for c in x) + "," + repr(float(v)))
-    text = "\n".join(lines) + ("\n" if lines else "")
+        table = np.column_stack([points, values]).astype(float)
+        text = "".join(_csv_block(table[k:k + EVAL_BLOCK_ROWS])
+                       for k in range(0, table.shape[0], EVAL_BLOCK_ROWS))
     if args.out:
         write_text_atomic(args.out, text)
     else:
         sys.stdout.write(text)
     return EXIT_OK
+
+
+def _csv_block(table):
+    """CSV lines of a float table, ``repr`` of every value.
+
+    Formats column by column instead of point by point (the same bytes,
+    without a Python loop per point); callers pass blocks of at most
+    ``EVAL_BLOCK_ROWS`` rows so the column lists stay small.
+    """
+    cols = [map(repr, col) for col in table.T.tolist()]
+    return "\n".join(map(",".join, zip(*cols))) + "\n"
+
+
+def _read_points(path):
+    """Rows of a points CSV as floats; a first row that is not all numbers
+    is a header.  A bad value, or a row whose length differs from the
+    first, further down is a ValueError naming its row."""
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        records = [(reader.line_num, raw) for raw in reader if raw]
+    rows = []
+    for k, (lineno, raw) in enumerate(records):
+        try:
+            row = _csv_floats(raw, lineno)
+        except ValueError:
+            if k == 0:
+                continue
+            raise
+        if rows and len(row) != len(rows[0]):
+            raise ValueError(f"row {lineno} has {len(row)} values, "
+                             f"the first has {len(rows[0])}")
+        rows.append(row)
+    return rows
+
+
+def _csv_floats(raw, lineno):
+    """One CSV row as floats; a ValueError names the row and column of a bad value."""
+    out = []
+    for col, v in enumerate(raw, 1):
+        try:
+            out.append(float(v))
+        except ValueError:
+            raise ValueError(f"row {lineno}, column {col}: not a number: {v!r}") from None
+    return out
 
 
 CONVERSIONS = ("lattice", "cplr", "dc", "ghh", "hh")

@@ -31,6 +31,10 @@ FEASIBILITY_TOL = 1e-9
 # Jacobian jumps being parallel and equal.
 CONTINUITY_RTOL = 1e-9
 
+# Two canonical unit normals are parallel when ``|cos|`` is within this of 1,
+# an angle below about 1.4e-6 rad; hyperplanes matched to 1e-9 stay parallel.
+PARALLEL_TOL = 1e-12
+
 # Fallback probe box half-width used when a model declares no domain.
 DEFAULT_BOX_HALFWIDTH = 10.0
 
@@ -367,27 +371,39 @@ def _facet_interior(alpha, beta, joint, box):
 def find_facets(model):
     """All facets between region pairs of a conventional model.
 
-    A pair is adjacent when the two regions carry the same hyperplane with
-    flipped orientation (syntactic) or when their closures meet and a tight
-    constraint at the meeting point induces an (n-1)-dimensional facet.
-    The search works in the model's ``domain_box``; each region's canonical
-    hyperplanes are formed once, and its Chebyshev center is solved at most
-    once, per call.
+    A pair's syntactic candidates are the hyperplanes both regions carry
+    with opposite orientation (matched to 1e-9).  When two candidates are
+    non-parallel the pair is skipped without an LP: region i's closure lies
+    on one side of each candidate and region j's on the other, so the
+    closures meet only inside the intersection of two non-parallel
+    hyperplanes, which has dimension at most n-2 and holds no facet.
+    Otherwise each candidate gets one facet LP.  A pair with no candidate
+    falls back to probing the constraints tight where the two closures
+    meet.  The search works in the model's ``domain_box``; each region's
+    canonical hyperplanes are formed once, and its Chebyshev center is
+    solved at most once, per call.
     """
     box = model.domain_box()
     regions = model.regions
     canon = [[h.canonical() for h in r.halfspaces] for r in regions]
+    stacked = [tuple(np.array(col) for col in zip(*c)) for c in canon]
     centers = {}
     facets = []
     for i in range(len(regions)):
+        ai, bi, si = stacked[i]
         for j in range(i + 1, len(regions)):
-            joint = Region(regions[i].halfspaces + regions[j].halfspaces)
+            aj, bj, sj = stacked[j]
+            match = ((si[:, None] * sj[None, :] < 0)
+                     & (np.abs(bi[:, None] - bj[None, :]) <= 1e-9)
+                     & np.all(np.abs(ai[:, None, :] - aj[None, :, :]) <= 1e-9, axis=2))
+            rows = np.flatnonzero(np.any(match, axis=1))
+            if _has_nonparallel(ai[rows]):
+                continue
             candidates = {}
-            for ai, bi, si in canon[i]:
-                for aj, bj, sj in canon[j]:
-                    if si * sj < 0 and abs(bi - bj) <= 1e-9 and \
-                            np.all(np.abs(ai - aj) <= 1e-9):
-                        candidates[hyperplane_key(ai, bi)] = (ai, bi, si)
+            for k in rows.tolist():
+                alpha, beta, side_i = canon[i][k]
+                candidates[hyperplane_key(alpha, beta)] = (alpha, beta, side_i)
+            joint = Region(regions[i].halfspaces + regions[j].halfspaces)
             if not candidates:
                 # orient each tight hyperplane by the side region i's deepest
                 # point lies on
@@ -404,6 +420,13 @@ def find_facets(model):
                     facets.append(Facet(i, j, alpha, float(beta), side_i,
                                         center, radius, N))
     return facets
+
+
+def _has_nonparallel(alphas):
+    """Whether two of these unit normals are not parallel (``|cos|`` more
+    than ``PARALLEL_TOL`` below 1)."""
+    cos = alphas @ alphas.T
+    return bool(np.any(np.abs(cos) < 1.0 - PARALLEL_TOL))
 
 
 def _tight_hyperplanes(joint, canon, box):

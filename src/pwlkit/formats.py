@@ -426,9 +426,11 @@ def _read_matrix(r, name):
 
 
 def _read_network(r, fields):
+    header = r.pos
     layers = []
     for _ in range(_int(fields.get("layers", "0"), r)):
         lf = _fields(r.next("layer:"), r)
+        line = r.pos
         kind = lf.pop("activation", "linear")
         out_rows = _int(lf["out"], r)
         del lf["out"]
@@ -438,9 +440,13 @@ def _read_network(r, fields):
                 config[k] = int(v)
             except ValueError:
                 config[k] = _float(v, r)
-        if kind == "maxout" and config.get("k", 2) < 1:
+        group = config.get("k", 2)
+        if kind == "maxout" and group < 1:
             r.error("maxout group size must be at least 1", needle="k=")
-        width = out_rows // config.get("k", 2) if kind == "maxout" else out_rows
+        if kind == "maxout" and out_rows % group:
+            r.error(f"maxout group size {group} does not divide out={out_rows}",
+                    needle="k=")
+        width = out_rows // group if kind == "maxout" else out_rows
         try:
             act = make_activation(kind, width, **config)
         except (TypeError, ValueError) as e:
@@ -448,10 +454,16 @@ def _read_network(r, fields):
         W = _read_matrix(r, "W")
         bline = r.next("b:")
         b = _floats(bline.split(":", 1)[1].strip(), r)
-        for i, arr in enumerate(act.param_arrays() if act else ()):
-            arr[...] = _read_matrix(r, f"param{i}").reshape(arr.shape)
-        layers.append(Layer(W, b, act))
-    return PwlNetwork(layers)
+        try:
+            for i, arr in enumerate(act.param_arrays() if act else ()):
+                arr[...] = _read_matrix(r, f"param{i}").reshape(arr.shape)
+            layers.append(Layer(W, b, act))
+        except ValueError as e:
+            raise ParseError(f"bad layer: {e}", line) from None
+    try:
+        return PwlNetwork(layers)
+    except ValueError as e:
+        raise ParseError(f"bad network: {e}", header) from None
 
 
 _READERS = {
