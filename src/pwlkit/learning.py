@@ -290,10 +290,14 @@ def _hinge_sse(Xa, y, tp, tm):
 def _find_hinge(X, y, cfg, rng, init=None):
     """Alternate membership split and per-side least squares.
 
-    Stops when memberships repeat or the iteration budget runs out.  An
-    empty side triggers a seeded random re-split; once the restart budget
-    is spent the best hinge seen so far is returned, and a degenerate-split
-    error is raised only if no two-sided refit ever succeeded.
+    A split that reproduces itself is converged and returned.  A split
+    already refit since the last random re-split ends the alternation with
+    the best refit seen: each step is a function of the split alone, so
+    the loop would only replay that cycle until the iteration budget runs
+    out.  An empty side triggers a seeded random re-split; once the restart
+    budget is spent the best hinge seen so far is returned, and a
+    degenerate-split error is raised only if no two-sided refit ever
+    succeeded.
     """
     N, n = X.shape
     if N < 2 * (n + 1):
@@ -312,13 +316,19 @@ def _find_hinge(X, y, cfg, rng, init=None):
 
     best = None
     restarts = 0
+    seen = set()    # splits refit since the last random re-split
     for it in range(1, cfg.max_iterations + 1):
         if mask.all() or not mask.any():
             restarts += 1
             if restarts > RESTART_BUDGET:
                 break
             mask = rng.random(N) < 0.5
+            seen.clear()
             continue
+        key = mask.tobytes()
+        if key in seen:
+            break
+        seen.add(key)
         tp = least_squares(Xa[mask], y[mask], cfg.ridge)
         tm = least_squares(Xa[~mask], y[~mask], cfg.ridge)
         sse = _hinge_sse(Xa, y, tp, tm)
@@ -367,7 +377,9 @@ def _simultaneous_polish(X, y, directions, ridge, max_iters=15):
     per-hinge direction vectors, so one ridge solve updates them all
     together; masks are then recomputed and the loop repeats.  Moving all
     breakpoints simultaneously escapes the symmetric traps coordinate-wise
-    relocation gets stuck in.  The best refit seen is returned.
+    relocation gets stuck in.  Each step is a function of the masks alone,
+    so the loop stops at the first mask set it has already solved; the best
+    refit seen is returned.
     """
     if not directions:
         return directions, None, np.inf
@@ -375,11 +387,15 @@ def _simultaneous_polish(X, y, directions, ridge, max_iters=15):
     n1 = Xa.shape[1]
     dirs = [d.copy() for d in directions]
     best_dirs, best_theta, best_sse = None, None, np.inf
-    prev_masks = None
+    seen = set()
     for _ in range(max_iters):
         masks = [Xa @ d > 0 for d in dirs]
         if any(m.all() or not m.any() for m in masks):
             break
+        key = b"".join(m.tobytes() for m in masks)
+        if key in seen:
+            break
+        seen.add(key)
         cols = [Xa] + [m[:, None] * Xa for m in masks]
         theta = least_squares(np.column_stack(cols), y, ridge)
         new_dirs = []
@@ -396,10 +412,6 @@ def _simultaneous_polish(X, y, directions, ridge, max_iters=15):
         th, sse = _refit_hinges(X, y, dirs, ridge)
         if sse < best_sse:
             best_dirs, best_theta, best_sse = [d.copy() for d in dirs], th, sse
-        stacked = tuple(m.tobytes() for m in (Xa @ d > 0 for d in dirs))
-        if prev_masks == stacked:
-            break
-        prev_masks = stacked
     if best_dirs is None:
         return directions, None, np.inf
     return best_dirs, best_theta, best_sse
@@ -424,8 +436,9 @@ def _refine_bias(X, y, directions, k, ridge, sse):
     others = directions[:k] + directions[k + 1:]
     B = np.column_stack([X, np.ones(X.shape[0])] +
                         [np.maximum(Xa @ o, 0.0)[:, None] for o in others])
-    blocks = np.maximum(proj[:, None] - cand[None, :], 0.0)[:, :, None]
-    scan = _scan_candidate_blocks(B, y, blocks, ridge)
+    blocks = np.subtract.outer(proj, cand)
+    np.maximum(blocks, 0.0, out=blocks)     # in place: one (N, count) buffer
+    scan = _scan_candidate_blocks(B, y, blocks[:, :, None], ridge)
     i = int(np.argmin(scan))
     if not np.isfinite(scan[i]):
         return directions, None, sse, False
@@ -446,13 +459,48 @@ def _hinge_model(n, theta, directions):
     return HingeModel(alpha0, beta0, hinges)
 
 
+def _backfit_step(X, y, directions, theta, sse, k, cfg, rng):
+    """One backfit move: joint polish for ``k == -1``, else re-find hinge k
+    against the residual of the others and re-snap its breakpoint.
+
+    Returns ``(directions, theta, sse, moved)``; a replacement is kept only
+    when it lowers the joint SSE.
+    """
+    if k < 0:
+        p_dirs, p_theta, p_sse = _simultaneous_polish(X, y, directions, cfg.ridge)
+        if p_sse < sse - cfg.tolerance:
+            return p_dirs, p_theta, p_sse, True
+        return directions, theta, sse, False
+    n = X.shape[1]
+    moved = False
+    others = directions[:k] + directions[k + 1 :]
+    theta_o, _ = _refit_hinges(X, y, others, cfg.ridge)
+    partial = y - _hinge_model(n, theta_o, others).values(X)
+    try:
+        hk = _find_hinge(X, partial, cfg, rng, init=(directions[k], np.zeros(n + 1)))
+    except DegenerateSplitError:
+        return directions, theta, sse, False
+    trial = list(directions)
+    trial[k] = _normalized(hk.direction)
+    t_theta, t_sse = _refit_hinges(X, y, trial, cfg.ridge)
+    if t_sse < sse - cfg.tolerance:
+        directions, theta, sse, moved = trial, t_theta, t_sse, True
+    directions, th_k, sse_k, snapped = _refine_bias(X, y, directions, k, cfg.ridge, sse)
+    if snapped:
+        return directions, th_k, sse_k, True
+    return directions, theta, sse, moved
+
+
 def fit_hh(data, cfg=None):
     """Grow a hinge sum: find a hinge on the residual, append, refit all.
 
-    After each accepted hinge a backfit sweep re-runs hinge finding for
-    every existing hinge against the residual of the others, keeping any
-    replacement that lowers the joint SSE.  Growth stops at the term
-    budget or when a round fails to improve by the configured tolerance.
+    After each accepted hinge a backfit sweep polishes all hinges jointly,
+    then re-runs hinge finding for every existing hinge against the
+    residual of the others, keeping any replacement that lowers the joint
+    SSE.  Sweeps end after one that moved nothing, or as soon as the
+    polish and every hinge have been re-tested on an unchanged state
+    without drawing from the rng.  Growth stops at the term budget or when
+    a round fails to improve by the configured tolerance.
     """
     cfg, rng, trace, Xt, yt, Xv, yv = _fit_setup(data, cfg)
     n = data.dim
@@ -485,35 +533,23 @@ def fit_hh(data, cfg=None):
             break
         directions, theta, sse = new_dirs, new_theta, new_sse
 
-        # polish all hinges jointly, then re-snap breakpoints per hinge
+        # polish all hinges jointly (step -1), then re-fit and re-snap each
+        # hinge k (step k).  A step sees only the hinges, the SSE and the
+        # rng, so once every step in a row has neither moved nor drawn from
+        # the rng, the rest of the sweeps would replay them unchanged.
+        steps = range(-1, len(directions))
+        quiet = 0   # consecutive steps that changed neither state nor rng
         for _sweep in range(BACKFIT_SWEEPS):
             improved = False
-            p_dirs, p_theta, p_sse = _simultaneous_polish(
-                Xt, yt, directions, cfg.ridge)
-            if p_sse < sse - cfg.tolerance:
-                directions, theta, sse = p_dirs, p_theta, p_sse
-                improved = True
-            for k in range(len(directions)):
-                others = directions[:k] + directions[k + 1 :]
-                theta_o, _ = _refit_hinges(Xt, yt, others, cfg.ridge)
-                partial = yt - _hinge_model(n, theta_o, others).values(Xt)
-                try:
-                    hk = _find_hinge(Xt, partial, cfg, rng,
-                                     init=(directions[k], np.zeros(n + 1)))
-                except DegenerateSplitError:
-                    continue
-                trial = list(directions)
-                trial[k] = _normalized(hk.direction)
-                t_theta, t_sse = _refit_hinges(Xt, yt, trial, cfg.ridge)
-                if t_sse < sse - cfg.tolerance:
-                    directions, theta, sse = trial, t_theta, t_sse
-                    improved = True
-                directions, th_k, sse_k, moved = _refine_bias(
-                    Xt, yt, directions, k, cfg.ridge, sse)
-                if moved:
-                    theta, sse = th_k, sse_k
-                    improved = True
-            if not improved:
+            for k in steps:
+                drawn = rng.bit_generator.state
+                directions, theta, sse, moved = _backfit_step(
+                    Xt, yt, directions, theta, sse, k, cfg, rng)
+                improved |= moved
+                quiet = 0 if moved or rng.bit_generator.state != drawn else quiet + 1
+                if quiet == len(steps):
+                    break
+            if not improved or quiet == len(steps):
                 break
 
         model = _hinge_model(n, theta, directions)

@@ -190,6 +190,7 @@ class GhhModel(PwlModel):
                                                 for a in t[1])))
         self._dim = dim
         self.terms = tuple(checked)
+        self._stacked = tuple((w, *stack_affines(affines)) for w, affines in checked)
 
     @property
     def dim(self):
@@ -203,8 +204,7 @@ class GhhModel(PwlModel):
     def values(self, points):
         points = as_points(points, self.dim)
         out = np.zeros(points.shape[0])
-        for w, affines in self.terms:
-            J, b = stack_affines(affines)
+        for w, J, b in self._stacked:
             out = out + w * np.max(points @ J.T + b, axis=1)
         return out
 

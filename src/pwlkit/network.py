@@ -13,7 +13,7 @@ reproduces the forward pass bit for bit.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import comb
+from math import comb, isfinite
 
 import numpy as np
 
@@ -444,19 +444,10 @@ class PwlNetwork:
         X = np.atleast_2d(np.asarray(X, dtype=float))
         if X.shape[1] != self.in_dim:
             raise DimensionMismatchError(self.in_dim, X.shape[1], what="input")
-        a = X
-        cache = []
-        for l in self.layers:
-            z = a @ l.weight.T + l.bias
-            if l.activation is None:
-                out, pattern = z, None
-            else:
-                out, pattern = l.activation.forward(z)
-            cache.append((a, z, pattern))
-            a = out
+        out, cache = _forward(_bound_layers(self), X)
         if want_cache:
-            return a, cache
-        return a
+            return out, cache
+        return out
 
     def forward(self, x):
         """Single-point forward returning the output vector and the cache."""
@@ -475,6 +466,29 @@ class PwlNetwork:
         if out.shape[1] != 1:
             raise ValueError("values() needs a single-output network")
         return out[:, 0]
+
+
+def _bound_layers(net):
+    """Per layer ``(W, W.T, b, activation)``.  The arrays are the parameters
+    themselves, so in-place updates show through a binding kept across steps."""
+    return [(l.weight, l.weight.T, l.bias, l.activation) for l in net.layers]
+
+
+def _forward(bound, X):
+    """Forward pass over bound layers: the output and, per layer, the
+    ``(input, pre-activation, pattern)`` cache that gradients need."""
+    a = X
+    cache = []
+    for _W, WT, b, act in bound:
+        z = np.matmul(a, WT)
+        z += b
+        if act is None:
+            out, pattern = z, None
+        else:
+            out, pattern = act.forward(z)
+        cache.append((a, z, pattern))
+        a = out
+    return a, cache
 
 
 def network_from_sizes(sizes, activation="relu", maxout_k=2, **config):
@@ -518,10 +532,37 @@ def init_params(net, scheme="scaled-normal", seed=0):
 # Backpropagation
 # ---------------------------------------------------------------------------
 
-def _check_finite(arrays, layer_index):
-    for a in arrays:
-        if not np.all(np.isfinite(a)):
-            raise NonFiniteLossError(layer_index)
+def _loss_and_grads(bound, X, Y):
+    """Mean-squared-error loss and gradients on one ``(B, n)``/``(B, out)`` batch.
+
+    Finiteness is tested once, on the sum of every pre-activation and the
+    loss; only when that sum is not finite are the layers scanned in order,
+    so the error names the first non-finite layer (the output layer for a
+    non-finite loss), and a sum that merely overflowed passes.
+    """
+    out, cache = _forward(bound, X)
+    diff = out - Y
+    loss = float(np.add.reduce(np.add.reduce(diff * diff, axis=1)) / X.shape[0])
+    if not isfinite(loss + sum(float(z.sum()) for _, z, _ in cache)):
+        for idx, (_, z, _) in enumerate(cache):
+            if not np.all(np.isfinite(z)):
+                raise NonFiniteLossError(idx)
+        if not isfinite(loss):
+            raise NonFiniteLossError(len(cache) - 1)
+
+    grads = []
+    upstream = 2.0 * diff / X.shape[0]      # d loss / d output
+    for (W, _, _, act), (a_in, z, pattern) in zip(reversed(bound), reversed(cache)):
+        if act is None:
+            dz = upstream
+        else:
+            grads.extend(reversed(act.param_grads(z, pattern, upstream)))
+            dz = act.backprop(z, pattern, upstream)
+        grads.append(np.add.reduce(dz, axis=0))
+        grads.append(np.matmul(dz.T, a_in))
+        upstream = np.matmul(dz, W)
+    grads.reverse()
+    return loss, grads
 
 
 def backward_batch(net, X, y):
@@ -532,30 +573,12 @@ def backward_batch(net, X, y):
     the forward pass chose (right derivative).
     """
     X = np.atleast_2d(np.asarray(X, dtype=float))
+    if X.shape[1] != net.in_dim:
+        raise DimensionMismatchError(net.in_dim, X.shape[1], what="input")
     y = np.asarray(y, dtype=float)
     if y.ndim == 1:
         y = y[:, None]
-    out, cache = net.forward_batch(X, want_cache=True)
-    B = X.shape[0]
-    for idx, (_, z, _) in enumerate(cache):
-        _check_finite([z], idx)
-    diff = out - y
-    loss = float(np.mean(np.sum(diff * diff, axis=1)))
-    if not np.isfinite(loss):
-        raise NonFiniteLossError(len(net.layers) - 1)
-
-    per_layer = []
-    upstream = 2.0 * diff / B      # d loss / d output
-    for layer, (a_in, z, pattern) in zip(reversed(net.layers), reversed(cache)):
-        act_grads = []
-        if layer.activation is None:
-            dz = upstream
-        else:
-            act_grads = layer.activation.param_grads(z, pattern, upstream)
-            dz = layer.activation.backprop(z, pattern, upstream)
-        per_layer.append([dz.T @ a_in, np.sum(dz, axis=0)] + act_grads)
-        upstream = dz @ layer.weight
-    return loss, [g for grads in reversed(per_layer) for g in grads]
+    return _loss_and_grads(_bound_layers(net), X, y)
 
 
 def backward(net, x, y):
@@ -617,6 +640,12 @@ def train_sgd(net, data, cfg):
     """
     rng = np.random.default_rng(cfg.seed)
     X, y = data.inputs, data.targets
+    if X.shape[1] != net.in_dim:
+        raise DimensionMismatchError(net.in_dim, X.shape[1], what="input")
+    Y = y[:, None]
+    bound = _bound_layers(net)
+    params = net.parameters()
+    lr = cfg.learning_rate
     curve = []
     good = net.snapshot()
     for _epoch in range(cfg.epochs):
@@ -624,12 +653,12 @@ def train_sgd(net, data, cfg):
         for start in range(0, data.size, cfg.batch_size):
             idx = perm[start:start + cfg.batch_size]
             try:
-                _, grads = backward_batch(net, X[idx], y[idx])
+                _, grads = _loss_and_grads(bound, X[idx], Y[idx])
             except NonFiniteLossError:
                 net.restore(good)
                 return net, np.array(curve)
-            for p, g in zip(net.parameters(), grads):
-                p -= cfg.learning_rate * np.asarray(g, dtype=float).reshape(p.shape)
+            for p, g in zip(params, grads):
+                p -= lr * g
         epoch_loss = float(np.mean((net.forward_batch(X)[:, 0] - y) ** 2))
         if not np.isfinite(epoch_loss) or epoch_loss > DIVERGENCE_LIMIT:
             net.restore(good)

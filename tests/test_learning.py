@@ -11,7 +11,7 @@ from pwlkit import (
     fit_sbf,
     least_squares,
 )
-from pwlkit.learning import _find_hinge
+from pwlkit.learning import _find_hinge, _scan_candidate_blocks
 from pwlkit.models import SbfModel
 
 
@@ -302,3 +302,21 @@ class TestExactRefit:
         y = target.values(X)
         model, _ = fit_sbf(Dataset(X, y), FitConfig(max_terms=2, seed=0))
         assert rmse(model, X, y) <= 1e-6
+
+
+@pytest.mark.xfail(strict=True, reason="the scan scores y.y - 2 r.theta + theta.K.theta, "
+                   "which cancels at scale 1e3: about -1.9e-9 at the true knot, "
+                   "where a direct refit gives 5e-23")
+def test_candidate_scan_matches_direct_refit():
+    """The knot scan's SSE is nonnegative and agrees with a direct refit."""
+    x = np.linspace(0.0, 1e3, 400)
+    y = np.maximum(x - 500.0, 0.0)
+    B = np.column_stack([x, np.ones_like(x)])
+    knots = np.linspace(50.0, 950.0, 181)
+    blocks = np.maximum(x[:, None] - knots[None, :], 0.0)[:, :, None]
+    scan = _scan_candidate_blocks(B, y, blocks, 1e-8)
+    for i, knot in enumerate(knots):
+        C = np.column_stack([B, blocks[:, i, :]])
+        direct = float(np.sum((C @ least_squares(C, y, 1e-8) - y) ** 2))
+        assert scan[i] >= 0.0
+        assert abs(scan[i] - direct) <= 1e-9 * max(1.0, direct), knot

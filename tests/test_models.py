@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from pwlkit import (
+    AffineFunction,
     AhhBasis,
     AhhModel,
     CplrModel,
@@ -13,6 +14,7 @@ from pwlkit import (
     NestedCplrModel,
     SbfModel,
 )
+from pwlkit.affine import stack_affines
 
 
 def dyadic_grid(lo, hi, count, scale=2 ** 20):
@@ -76,6 +78,19 @@ class TestGhh:
     def test_empty_affine_list_rejected(self):
         with pytest.raises(ValueError):
             GhhModel([(1.0, [])])
+
+    def test_values_match_per_call_stacking(self):
+        """Stacking each term once at construction keeps every value bit."""
+        rng = np.random.default_rng(4)
+        model = GhhModel([(float(rng.normal()),
+                           [AffineFunction(rng.normal(size=3), float(rng.normal()))
+                            for _ in range(k)]) for k in (1, 3, 4)])
+        X = rng.uniform(-2.0, 2.0, (500, 3))
+        want = np.zeros(X.shape[0])
+        for w, affines in model.terms:
+            J, b = stack_affines(affines)
+            want = want + w * np.max(X @ J.T + b, axis=1)
+        assert model.values(X).tobytes() == want.tobytes()
 
 
 class TestHlCplr:
