@@ -316,7 +316,7 @@ def _find_hinge(X, y, cfg, rng, init=None):
 
     best = None
     restarts = 0
-    seen = set()    # splits refit since the last random re-split
+    seen = set()    # splits refit since the last random re-split, bit-packed
     for it in range(1, cfg.max_iterations + 1):
         if mask.all() or not mask.any():
             restarts += 1
@@ -325,7 +325,7 @@ def _find_hinge(X, y, cfg, rng, init=None):
             mask = rng.random(N) < 0.5
             seen.clear()
             continue
-        key = mask.tobytes()
+        key = np.packbits(mask).tobytes()
         if key in seen:
             break
         seen.add(key)
@@ -392,7 +392,7 @@ def _simultaneous_polish(X, y, directions, ridge, max_iters=15):
         masks = [Xa @ d > 0 for d in dirs]
         if any(m.all() or not m.any() for m in masks):
             break
-        key = b"".join(m.tobytes() for m in masks)
+        key = np.packbits(masks).tobytes()
         if key in seen:
             break
         seen.add(key)
