@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import csv
 import io
+import itertools
 import sys
 
 import numpy as np
@@ -102,8 +103,9 @@ def _parse_box(spec, dim=None):
     return lo, hi
 
 
-def _parse_grid(spec):
-    """Grid spec ``a:b:step[,a:b:step...]`` into a lexicographic point list.
+def _grid_axes(spec):
+    """Grid spec ``a:b:step[,a:b:step...]`` into per-axis coordinates
+    ``a + step * i``.
 
     The point count is worked out from the spec first, and a grid of more
     than ``MAX_GRID_POINTS`` points is refused before anything is allocated.
@@ -116,7 +118,12 @@ def _parse_grid(spec):
     total = float(np.prod([n for _, _, n in axes]))
     if not total <= MAX_GRID_POINTS:
         raise UsageError(f"grid has {total:.4g} points, the limit is {MAX_GRID_POINTS}")
-    return mesh_points([a + step * np.arange(int(n)) for a, step, n in axes])
+    return [a + step * np.arange(int(n)) for a, step, n in axes]
+
+
+def _parse_grid(spec):
+    """Grid spec into its lexicographic point list, last axis fastest."""
+    return mesh_points(_grid_axes(spec))
 
 
 def _check_density(density, dim):
@@ -266,8 +273,10 @@ def cmd_eval(args):
         model = load_model(args.model)
     except (OSError, ParseError) as e:
         return _fail(EXIT_INPUT, f"cannot load model: {e}")
+    axes = None
     if args.grid:
-        points = _parse_grid(args.grid)
+        axes = _grid_axes(args.grid)
+        points = mesh_points(axes)
     else:
         try:
             rows = _read_points(args.points)
@@ -284,9 +293,12 @@ def cmd_eval(args):
             values = model.values(points)
         except PwlError as e:
             return _fail(EXIT_INPUT, f"evaluation failed: {e}")
-        table = np.column_stack([points, values]).astype(float)
-        text = "".join(_csv_block(table[k:k + EVAL_BLOCK_ROWS])
-                       for k in range(0, table.shape[0], EVAL_BLOCK_ROWS))
+        if axes is None:
+            table = np.column_stack([points, values]).astype(float)
+            text = "".join(_csv_block(table[k:k + EVAL_BLOCK_ROWS])
+                           for k in range(0, table.shape[0], EVAL_BLOCK_ROWS))
+        else:
+            text = _grid_csv(axes, values)
     if args.out:
         write_text_atomic(args.out, text)
     else:
@@ -303,6 +315,21 @@ def _csv_block(table):
     """
     cols = [map(repr, col) for col in table.T.tolist()]
     return "\n".join(map(",".join, zip(*cols))) + "\n"
+
+
+def _grid_csv(axes, values):
+    """CSV lines of values on the product of ``axes``: the bytes
+    ``_csv_block`` gives for the meshed points, with each axis's coordinates
+    formatted once instead of once per point."""
+    coords = itertools.product(*[[repr(v) for v in ax.tolist()] for ax in axes])
+    values = np.asarray(values, dtype=float)
+    blocks = []
+    for k in range(0, values.shape[0], EVAL_BLOCK_ROWS):
+        block = values[k:k + EVAL_BLOCK_ROWS].tolist()
+        rows = map(tuple.__add__, itertools.islice(coords, len(block)),
+                   zip(map(repr, block)))
+        blocks.append("\n".join(map(",".join, rows)) + "\n")
+    return "".join(blocks)
 
 
 def _read_points(path):

@@ -323,7 +323,8 @@ class Facet:
 
 
 def hyperplane_key(alpha, beta):
-    return tuple(np.round(alpha, 9)) + (round(float(beta), 9),)
+    """``(alpha, beta)`` rounded to 9 places, as a tuple of Python floats."""
+    return tuple(np.round(alpha, 9).tolist()) + (round(float(beta), 9),)
 
 
 def _facet_interior(alpha, beta, joint, box):

@@ -196,7 +196,13 @@ def _scan_candidate_blocks(B, y, blocks, ridge):
     yy = float(y @ y)
     flat = blocks.reshape(N, count * m)
     cross = (B.T @ flat).reshape(k, count, m).transpose(1, 0, 2)   # (count, k, m)
-    cc = np.einsum("nim,nil->iml", blocks, blocks)
+    # one two-operand product per slot pair: the same sums, in the same order,
+    # as einsum("nim,nil->iml"), without its slow generic loop
+    cc = np.empty((count, m, m))
+    for a in range(m):
+        for b in range(a, m):
+            cc[:, a, b] = cc[:, b, a] = np.einsum("ni,ni->i", blocks[:, :, a],
+                                                  blocks[:, :, b])
     cy = np.einsum("nim,n->im", blocks, y)
     K = np.empty((count, k + m, k + m))
     K[:, :k, :k] = G
@@ -459,9 +465,10 @@ def _hinge_model(n, theta, directions):
     return HingeModel(alpha0, beta0, hinges)
 
 
-def _backfit_step(X, y, directions, theta, sse, k, cfg, rng):
+def _backfit_step(X, y, directions, theta, sse, k, cfg, rng, refine):
     """One backfit move: joint polish for ``k == -1``, else re-find hinge k
-    against the residual of the others and re-snap its breakpoint.
+    against the residual of the others and re-snap its breakpoint with
+    ``refine(directions, k, sse)`` (``_refine_bias`` on X and y).
 
     Returns ``(directions, theta, sse, moved)``; a replacement is kept only
     when it lowers the joint SSE.
@@ -485,7 +492,7 @@ def _backfit_step(X, y, directions, theta, sse, k, cfg, rng):
     t_theta, t_sse = _refit_hinges(X, y, trial, cfg.ridge)
     if t_sse < sse - cfg.tolerance:
         directions, theta, sse, moved = trial, t_theta, t_sse, True
-    directions, th_k, sse_k, snapped = _refine_bias(X, y, directions, k, cfg.ridge, sse)
+    directions, th_k, sse_k, snapped = refine(directions, k, sse)
     if snapped:
         return directions, th_k, sse_k, True
     return directions, theta, sse, moved
@@ -504,6 +511,17 @@ def fit_hh(data, cfg=None):
     """
     cfg, rng, trace, Xt, yt, Xv, yv = _fit_setup(data, cfg)
     n = data.dim
+
+    # _refine_bias is a function of the hinges, k and the SSE alone (the data
+    # and ridge are fixed for the fit), and backfit steps that drew from the
+    # rng often hand it an input it has already scanned
+    snapped = {}
+
+    def refine(dirs, k, s):
+        key = (b"".join(d.tobytes() for d in dirs), k, np.float64(s).tobytes())
+        if key not in snapped:
+            snapped[key] = _refine_bias(Xt, yt, dirs, k, cfg.ridge, s)
+        return snapped[key]
 
     directions = []
     theta, sse = _refit_hinges(Xt, yt, directions, cfg.ridge)
@@ -524,8 +542,7 @@ def fit_hh(data, cfg=None):
             break
         new_dirs = directions + [_normalized(delta)]
         new_theta, new_sse = _refit_hinges(Xt, yt, new_dirs, cfg.ridge)
-        new_dirs, th_r, sse_r, moved = _refine_bias(
-            Xt, yt, new_dirs, len(new_dirs) - 1, cfg.ridge, new_sse)
+        new_dirs, th_r, sse_r, moved = refine(new_dirs, len(new_dirs) - 1, new_sse)
         if moved:
             new_theta, new_sse = th_r, sse_r
         if new_sse > sse - cfg.tolerance:
@@ -544,7 +561,7 @@ def fit_hh(data, cfg=None):
             for k in steps:
                 drawn = rng.bit_generator.state
                 directions, theta, sse, moved = _backfit_step(
-                    Xt, yt, directions, theta, sse, k, cfg, rng)
+                    Xt, yt, directions, theta, sse, k, cfg, rng, refine)
                 improved |= moved
                 quiet = 0 if moved or rng.bit_generator.state != drawn else quiet + 1
                 if quiet == len(steps):
@@ -628,12 +645,12 @@ def fit_ahh(data, cfg=None):
                 if xs.max() - xs.min() <= 1e-12:
                     continue
                 knots = np.unique(np.quantile(xs, AHH_KNOT_QUANTILES))
-                up = np.maximum(Xt[:, v][:, None] - knots[None, :], 0.0)
-                blocks = np.stack(
-                    [np.minimum(parent_col[:, None], up),
-                     np.minimum(parent_col[:, None],
-                                np.maximum(knots[None, :] - Xt[:, v][:, None], 0.0))],
-                    axis=2)
+                x = Xt[:, v][:, None]
+                blocks = np.empty((Xt.shape[0], knots.shape[0], 2))
+                np.minimum(parent_col[:, None], np.maximum(x - knots, 0.0),
+                           out=blocks[:, :, 0])
+                np.minimum(parent_col[:, None], np.maximum(knots - x, 0.0),
+                           out=blocks[:, :, 1])
                 scan = _scan_candidate_blocks(B, yt, blocks, cfg.ridge)
                 i = int(np.argmin(scan))
                 if np.isfinite(scan[i]) and (best is None or scan[i] < best[0] - 1e-15):

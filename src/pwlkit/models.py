@@ -205,8 +205,24 @@ class GhhModel(PwlModel):
         points = as_points(points, self.dim)
         out = np.zeros(points.shape[0])
         for w, J, b in self._stacked:
-            out = out + w * np.max(points @ J.T + b, axis=1)
+            # ``J.T`` stays a transposed view: a contiguous copy sends a
+            # one-point call down another BLAS kernel, which rounds differently
+            z = points @ J.T
+            z += b
+            # ``out`` starts at +0.0 and only adds, so the sign of a zero
+            # maximum, where _row_max and np.max may differ, never reaches it
+            out += w * _row_max(z)
         return out
+
+
+def _row_max(z):
+    """Row maxima of a 2-D array as a left-to-right ``np.maximum`` chain over
+    its columns, far faster than ``np.max(z, axis=1)`` on short rows.  The two
+    agree except, possibly, in the sign bit of a zero or NaN maximum."""
+    top = z[:, 0]
+    for j in range(1, z.shape[1]):
+        top = np.maximum(top, z[:, j])
+    return top
 
 
 class HlCplrBasis(PwlModel):

@@ -319,14 +319,19 @@ class Maxout(Activation):
     def pattern(self, z):
         return np.argmax(self._grouped(z), axis=2)
 
+    def _slots(self, p):
+        """Flat index ``p + unit·k + row·width·k`` of each unit's chosen slot in
+        an ``(N, width * k)`` array."""
+        starts = np.arange(0, p.shape[0] * self.width * self.k, self.k)
+        return starts.reshape(p.shape) + p
+
     def apply(self, z, p):
-        g = self._grouped(z)
-        return np.take_along_axis(g, p[:, :, None].astype(int), axis=2)[:, :, 0]
+        return np.take(z, self._slots(p))
 
     def backprop(self, z, p, upstream):
         """Route each unit's upstream gradient to its argmax slot."""
-        g = np.zeros((z.shape[0], self.width, self.k))
-        np.put_along_axis(g, p[:, :, None].astype(int), upstream[:, :, None], axis=2)
+        g = np.zeros(z.shape[0] * self.width * self.k)
+        g[self._slots(p)] = upstream
         return g.reshape(z.shape[0], self.width * self.k)
 
     def restrict(self, J, c, code):
@@ -751,8 +756,13 @@ def _distinct_patterns(net, X):
     """``(pattern, first row)`` per distinct pattern at the rows of X, in order
     of first appearance; one forward pass, the layers' own code dtypes kept."""
     X, per_layer = _hidden_codes(net, X)
-    codes = np.concatenate([np.empty((X.shape[0], 0), np.int64)] + per_layer, axis=1)
-    first = np.sort(np.unique(codes, axis=0, return_index=True)[1])
+    # the integer codes of a row as one opaque item: np.unique sorts these far
+    # faster than along axis=0, with the same first index per distinct row.
+    # The leading zero column keeps a row non-empty for a net without hidden
+    # units, whose rows then all share one pattern.
+    codes = np.concatenate([np.zeros((X.shape[0], 1), np.int64)] + per_layer, axis=1)
+    rows = codes.view(np.dtype((np.void, codes.itemsize * codes.shape[1])))[:, 0]
+    first = np.sort(np.unique(rows, return_index=True)[1])
     return [(ActivationPattern(tuple(p[i] for p in per_layer)), X[i].copy())
             for i in first]
 

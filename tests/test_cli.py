@@ -160,7 +160,7 @@ class TestConvert:
         code, _, err = run(capsys, "convert", "--model", model_file,
                            "--to", "cplr", "--out", tmp_path / "c.txt")
         assert code == 4
-        assert "certificate" in err
+        assert "certificate hyperplane: (0.707106781, -0.707106781, -0.0)\n" in err
 
     def test_cplr_to_hh_round_trip_deviation(self, capsys, tmp_path,
                                              zigzag_cplr):
@@ -208,6 +208,16 @@ class TestValidate:
         code, out, _ = run(capsys, "validate", "--model", path)
         assert code == 0
         assert "consistent-variation: yes" in out
+
+    def test_certificate_prints_plain_floats(self, capsys, tmp_path, plateau2d):
+        path = tmp_path / "plateau.txt"
+        save_model(plateau2d, path)
+        code, out, _ = run(capsys, "validate", "--model", path)
+        assert code == 0
+        assert out.splitlines()[-2:] == [
+            "consistent-variation: no",
+            "certificate-hyperplane: (0.707106781, -0.707106781, -0.0)",
+        ]
 
     def test_compact_model_is_structurally_continuous(self, capsys, tmp_path,
                                                       zigzag_cplr):

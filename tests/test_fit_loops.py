@@ -2,10 +2,11 @@
 
 ``_find_hinge`` and ``_simultaneous_polish`` stop at the first membership
 state they have already solved, the ``fit_hh`` backfit stops once every
-step has been re-tested on an unchanged state, and ``train_sgd`` steps
-through layers bound once.  The reference loops below are the versions
-without those exits; each test asserts byte-equal results and, for the
-alternations, strictly less work.
+step has been re-tested on an unchanged state, ``fit_hh`` scans each
+``_refine_bias`` input once, and ``train_sgd`` steps through layers bound
+once.  The reference loops below are the versions without those exits;
+each test asserts byte-equal results and, for the alternations and the
+bias scans, strictly less work.
 """
 
 import numpy as np
@@ -387,6 +388,34 @@ def test_fit_hh_backfit_stop_is_byte_identical(monkeypatch, side, terms, split):
     got = model_bytes(*L.fit_hh(data, cfg))
     assert got == want
     assert calls[0] < ref_calls
+
+
+def test_fit_hh_scans_each_bias_refinement_input_once(monkeypatch):
+    """``_refine_bias`` depends only on the hinges, k and the SSE within one
+    fit, so ``fit_hh`` hands it each such input once; the reference repeats
+    some on this fixture."""
+    X = grid2d(0.0, 1.0, 21)
+    data = Dataset(X, plateau(X) + np.random.default_rng(21).normal(0.0, 0.01, 441))
+    cfg = FitConfig(max_terms=4, seed=2)
+    keys = []
+    refine = L._refine_bias
+
+    def recording(X, y, directions, k, ridge, sse):
+        keys.append((b"".join(d.tobytes() for d in directions), k,
+                     np.float64(sse).tobytes()))
+        return refine(X, y, directions, k, ridge, sse)
+
+    monkeypatch.setattr(L, "_refine_bias", recording)
+    scans = counting(monkeypatch, "_scan_candidate_blocks")
+    want = model_bytes(*ref_fit_hh(data, cfg))
+    ref_keys, ref_scans = list(keys), scans[0]
+    keys.clear()
+    scans[0] = 0
+    got = model_bytes(*L.fit_hh(data, cfg))
+    assert got == want
+    assert len(set(ref_keys)) < len(ref_keys)
+    assert len(set(keys)) == len(keys)
+    assert scans[0] < ref_scans
 
 
 def test_fit_hh_matches_reference_on_small_noisy_samples():
