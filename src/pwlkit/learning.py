@@ -605,7 +605,10 @@ def _ahh_columns(X, bases):
 
 
 def _ahh_refit(X, y, bases, ridge):
-    C = _ahh_columns(X, bases)
+    return _refit_columns(_ahh_columns(X, bases), y, ridge)
+
+
+def _refit_columns(C, y, ridge):
     theta = least_squares(C, y, ridge)
     return theta, float(np.sum((C @ theta - y) ** 2))
 
@@ -674,14 +677,16 @@ def fit_ahh(data, cfg=None):
         theta, sse = th, s
         trace.add(len(bases), sse, val_sse_of(bases, theta, sse), "add-pair")
 
-    # backward pruning on validation error
+    # backward pruning on validation error; each drop-one trial deletes a
+    # column from the round's design matrices instead of re-evaluating bases
     current_val = val_sse_of(bases, theta, sse)
     while bases:
         best = None   # (val_sse, index, theta, train_sse)
+        C, Cv = _ahh_columns(Xt, bases), _ahh_columns(Xv, bases)
         for k in range(len(bases)):
-            trial = bases[:k] + bases[k + 1 :]
-            th, s = _ahh_refit(Xt, yt, trial, cfg.ridge)
-            vs = val_sse_of(trial, th, s)
+            th, s = _refit_columns(np.delete(C, k + 1, axis=1), yt, cfg.ridge)
+            vs = _validation_sse(lambda _: np.delete(Cv, k + 1, axis=1) @ th,
+                                 Xv, yv, s)
             if best is None or vs < best[0]:
                 best = (vs, k, th, s)
         if best is None or best[0] >= current_val:

@@ -1,9 +1,10 @@
 """The kernels moved off numpy's slow generic paths give the same bits.
 
 Each reference below is the expression the kernel replaced: the scan's
-three-index ``einsum``, ``np.unique(axis=0)`` over code rows, ``np.max``
-over each GHH term's affine values, ``take_along_axis``/``put_along_axis``
-for maxout, and ``_csv_block`` over the meshed grid for ``eval --grid``.
+three-index ``einsum``, AHH design columns rebuilt for every pruning trial,
+``np.unique(axis=0)`` over code rows, ``np.max`` over each GHH term's
+affine values, ``take_along_axis``/``put_along_axis`` for maxout, and
+``_csv_block`` over the meshed grid for ``eval --grid``.
 These pin numpy's kernel behaviour, so they are exact comparisons; the one
 exception is the sign bit of a NaN, which ``np.max`` sets by the position
 of the NaN in its row and ``repr`` never shows.
@@ -15,7 +16,7 @@ import pytest
 import pwlkit.learning as L
 from pwlkit.affine import AffineFunction, grid_points, mesh_points, stack_affines
 from pwlkit.cli import EVAL_BLOCK_ROWS, _csv_block, _grid_axes, _grid_csv
-from pwlkit.models import GhhModel, _row_max
+from pwlkit.models import AhhBasis, GhhModel, _row_max
 from pwlkit.network import (
     Maxout,
     _distinct_patterns,
@@ -85,6 +86,27 @@ def test_scan_normal_equations_and_sse_are_bit_equal(monkeypatch):
         assert systems[-1] == systems[-2]       # K + damp (cc) and rhs (cy)
         cases += 1
     assert cases == 36
+
+
+def test_ahh_drop_one_refit_matches_rebuilt_columns():
+    """Pruning deletes a column of the round's design matrices; the trial
+    refit and its validation predictions equal those of columns rebuilt
+    from the remaining bases."""
+    r = np.random.default_rng(3)
+    Xt, Xv = r.uniform(-1.0, 1.0, (300, 3)), r.uniform(-1.0, 1.0, (60, 3))
+    yt = np.abs(Xt[:, 0] - Xt[:, 1]) + 0.1 * r.normal(size=300)
+    bases = [AhhBasis([(int(r.choice([-1, 1])), int(r.integers(0, 3)),
+                        float(r.uniform(-0.5, 0.5))) for _ in range(depth)])
+             for depth in (1, 1, 2, 1, 3, 2)]
+    C, Cv = L._ahh_columns(Xt, bases), L._ahh_columns(Xv, bases)
+    for k in range(len(bases)):
+        trial = bases[:k] + bases[k + 1:]
+        want_theta, want_sse = L._ahh_refit(Xt, yt, trial, 1e-8)
+        theta, sse = L._refit_columns(np.delete(C, k + 1, axis=1), yt, 1e-8)
+        assert theta.tobytes() == want_theta.tobytes()
+        assert np.float64(sse).tobytes() == np.float64(want_sse).tobytes()
+        got = np.delete(Cv, k + 1, axis=1) @ theta
+        assert got.tobytes() == (L._ahh_columns(Xv, trial) @ want_theta).tobytes()
 
 
 # ---------------------------------------------------------------------------
