@@ -9,8 +9,8 @@ atomic and all commands are deterministic for fixed inputs and seeds.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
-import io
 import itertools
 import sys
 
@@ -27,7 +27,8 @@ from .errors import (
     PwlError,
 )
 from .formats import load_model, save_model, write_text_atomic
-from .learning import Dataset, FitConfig, fit_ahh, fit_hh, fit_sbf
+from .learning import (Dataset, FitConfig, csv_text, fit_ahh, fit_hh, fit_sbf,
+                       read_csv_floats)
 from .models import CplrModel, HingeModel
 from .network import (
     ACTIVATION_KINDS,
@@ -61,8 +62,17 @@ MAX_GRID_POINTS = 10**7
 EVAL_BLOCK_ROWS = 4096
 
 
-class UsageError(Exception):
-    pass
+class CliError(Exception):
+    """A failure that ``main`` prints to stderr and returns as exit ``code``."""
+
+    def __init__(self, code, message):
+        super().__init__(message)
+        self.code = code
+
+
+class UsageError(CliError):
+    def __init__(self, message):
+        super().__init__(EXIT_USAGE, f"usage error: {message}")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -72,9 +82,18 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _fail(code, message):
-    print(message, file=sys.stderr)
-    return code
+@contextlib.contextmanager
+def _reading(what):
+    """Turn an input file that cannot be read or parsed into exit 2."""
+    try:
+        yield
+    except (OSError, ValueError, csv.Error, ParseError) as e:
+        raise CliError(EXIT_INPUT, f"cannot {what}: {e}") from e
+
+
+def _load(path):
+    with _reading("load model"):
+        return load_model(path)
 
 
 def _components(spec, what, form):
@@ -147,7 +166,7 @@ def _hidden_sizes(spec):
 def _read_config(path):
     """Flat ``key = value`` config file."""
     out = {}
-    with open(path) as fh:
+    with _reading("read config"), open(path) as fh:
         for lineno, raw in enumerate(fh, 1):
             line = raw.split("#", 1)[0].strip()
             if not line:
@@ -194,11 +213,9 @@ def _rmse(sse, count):
 # ---------------------------------------------------------------------------
 
 def cmd_fit(args):
-    try:
+    with _reading("read dataset"):
         data = Dataset.from_csv(args.data, header="auto" if args.header is None
                                 else args.header)
-    except (OSError, ValueError) as e:
-        return _fail(EXIT_INPUT, f"cannot read dataset: {e}")
 
     file_values = _read_config(args.config) if args.config else {}
 
@@ -216,7 +233,8 @@ def cmd_fit(args):
         val_sse = train_sse
         n_train = n_val = data.size
         terms = net.hidden_unit_count
-        trace_text = _curve_csv(curve)
+        trace_text = csv_text(["epoch", "loss"],
+                              ((i, repr(float(v))) for i, v in enumerate(curve)))
         seed = cfg.seed
     else:
         overrides = {"max_terms": args.max_terms, "seed": args.seed,
@@ -230,13 +248,11 @@ def cmd_fit(args):
             elif args.kind == "ahh":
                 model, trace, _tree = fit_ahh(data, cfg)
                 terms = len(model.bases)
-            elif args.kind == "sbf":
+            else:
                 model, trace = fit_sbf(data, cfg)
                 terms = len(model.bases)
-            else:
-                raise UsageError(f"unknown fit kind {args.kind!r}")
         except PwlError as e:
-            return _fail(EXIT_FIT, f"fit failed: {e}")
+            raise CliError(EXIT_FIT, f"fit failed: {e}") from e
         final = trace.final
         n_train = trace.train_size
         n_val = trace.validation_size or n_train
@@ -259,40 +275,24 @@ def cmd_fit(args):
     return EXIT_OK
 
 
-def _curve_csv(curve):
-    buf = io.StringIO()
-    w = csv.writer(buf, lineterminator="\n")
-    w.writerow(["epoch", "loss"])
-    for i, v in enumerate(curve):
-        w.writerow([i, repr(float(v))])
-    return buf.getvalue()
-
-
 def cmd_eval(args):
-    try:
-        model = load_model(args.model)
-    except (OSError, ParseError) as e:
-        return _fail(EXIT_INPUT, f"cannot load model: {e}")
+    model = _load(args.model)
     axes = None
     if args.grid:
         axes = _grid_axes(args.grid)
         points = mesh_points(axes)
     else:
-        try:
-            rows = _read_points(args.points)
-        except (OSError, ValueError, csv.Error) as e:
-            return _fail(EXIT_INPUT, f"cannot read points: {e}")
-        points = np.array(rows) if rows else np.empty((0, model.dim))
+        with _reading("read points"):
+            _, points = read_csv_floats(args.points)
     if points.shape[0] and points.shape[1] != model.dim:
-        return _fail(EXIT_INPUT,
-                     f"points have dimension {points.shape[1]}, "
-                     f"model expects {model.dim}")
+        raise CliError(EXIT_INPUT, f"points have dimension {points.shape[1]}, "
+                                   f"model expects {model.dim}")
     text = ""
     if points.shape[0]:
         try:
             values = model.values(points)
         except PwlError as e:
-            return _fail(EXIT_INPUT, f"evaluation failed: {e}")
+            raise CliError(EXIT_INPUT, f"evaluation failed: {e}") from e
         if axes is None:
             table = np.column_stack([points, values]).astype(float)
             text = "".join(_csv_block(table[k:k + EVAL_BLOCK_ROWS])
@@ -332,57 +332,23 @@ def _grid_csv(axes, values):
     return "".join(blocks)
 
 
-def _read_points(path):
-    """Rows of a points CSV as floats; a first row that is not all numbers
-    is a header.  A bad value, or a row whose length differs from the
-    first, further down is a ValueError naming its row."""
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        records = [(reader.line_num, raw) for raw in reader if raw]
-    rows = []
-    for k, (lineno, raw) in enumerate(records):
-        try:
-            row = _csv_floats(raw, lineno)
-        except ValueError:
-            if k == 0:
-                continue
-            raise
-        if rows and len(row) != len(rows[0]):
-            raise ValueError(f"row {lineno} has {len(row)} values, "
-                             f"the first has {len(rows[0])}")
-        rows.append(row)
-    return rows
-
-
-def _csv_floats(raw, lineno):
-    """One CSV row as floats; a ValueError names the row and column of a bad value."""
-    out = []
-    for col, v in enumerate(raw, 1):
-        try:
-            out.append(float(v))
-        except ValueError:
-            raise ValueError(f"row {lineno}, column {col}: not a number: {v!r}") from None
-    return out
-
-
 CONVERSIONS = ("lattice", "cplr", "dc", "ghh", "hh")
 
 
-def cmd_convert(args):
-    try:
-        model = load_model(args.model)
-    except (OSError, ParseError) as e:
-        return _fail(EXIT_INPUT, f"cannot load model: {e}")
+def _unsupported(reason):
+    return CliError(EXIT_INPUT, f"{reason}; supported paths: conventional->lattice, "
+                    "conventional->cplr, hh->cplr, cplr->hh, any->dc, any->ghh")
 
+
+def cmd_convert(args):
+    model = _load(args.model)
     box = _parse_box(args.box, model.dim) if args.box else None
     _check_density(args.density, model.dim)
     target_kind = args.to
     try:
         if target_kind == "lattice":
             if not isinstance(model, ConventionalPWL):
-                return _fail(EXIT_INPUT,
-                             "lattice conversion needs a conventional model; "
-                             f"supported paths: {_conversion_help()}")
+                raise _unsupported("lattice conversion needs a conventional model")
             target = lattice_from_conventional(model, probe_density=args.density)
         elif target_kind == "cplr":
             if isinstance(model, HingeModel):
@@ -390,33 +356,23 @@ def cmd_convert(args):
             elif isinstance(model, ConventionalPWL):
                 target = cplr_from_consistent(model)
             else:
-                return _fail(EXIT_INPUT,
-                             "canonical conversion needs a conventional or "
-                             f"hinge model; supported paths: {_conversion_help()}")
+                raise _unsupported("canonical conversion needs a conventional or "
+                                   "hinge model")
         elif target_kind in ("dc", "ghh"):
             if isinstance(model, PwlNetwork):
-                return _fail(EXIT_INPUT,
-                             "networks have no difference-of-convex lowering; "
-                             f"supported paths: {_conversion_help()}")
+                raise _unsupported("networks have no difference-of-convex lowering")
             target = dc_from_model(model)
             if target_kind == "ghh":
                 target = ghh_from_dc(target)
-        elif target_kind == "hh":
-            if not isinstance(model, CplrModel):
-                return _fail(EXIT_INPUT,
-                             "hinge conversion needs a canonical model; "
-                             f"supported paths: {_conversion_help()}")
-            target = HingeModel.from_cplr(model)
         else:
-            return _fail(EXIT_INPUT,
-                         f"unsupported target {target_kind!r}; "
-                         f"supported paths: {_conversion_help()}")
+            if not isinstance(model, CplrModel):
+                raise _unsupported("hinge conversion needs a canonical model")
+            target = HingeModel.from_cplr(model)
     except NotCplrRepresentableError as e:
-        print(f"not representable; certificate hyperplane: {e.certificate}",
-              file=sys.stderr)
-        return EXIT_NOT_REPRESENTABLE
+        raise CliError(EXIT_NOT_REPRESENTABLE, "not representable; certificate "
+                       f"hyperplane: {e.certificate}") from e
     except (DiscontinuousModelError, ValueError) as e:
-        return _fail(EXIT_INPUT, f"conversion failed: {e}")
+        raise CliError(EXIT_INPUT, f"conversion failed: {e}") from e
 
     if box is None and isinstance(model, ConventionalPWL) and model.domain is not None:
         box = model.domain_box()
@@ -436,22 +392,13 @@ def cmd_convert(args):
         for i, s in enumerate(target.sets):
             print(f"S{i}: {{{','.join(str(j) for j in s)}}}")
     if not report.equivalent:
-        print(f"conversion deviates by {report.max_abs_deviation!r} "
-              f"(tolerance {args.tolerance!r})", file=sys.stderr)
-        return EXIT_VIOLATIONS
+        raise CliError(EXIT_VIOLATIONS, f"conversion deviates by "
+                       f"{report.max_abs_deviation!r} (tolerance {args.tolerance!r})")
     return EXIT_OK
 
 
-def _conversion_help():
-    return ("conventional->lattice, conventional->cplr, hh->cplr, cplr->hh, "
-            "any->dc, any->ghh")
-
-
 def cmd_validate(args):
-    try:
-        model = load_model(args.model)
-    except (OSError, ParseError) as e:
-        return _fail(EXIT_INPUT, f"cannot load model: {e}")
+    model = _load(args.model)
     if not isinstance(model, ConventionalPWL):
         _summary([
             ("kind", type(model).__name__),
@@ -480,12 +427,9 @@ def cmd_validate(args):
 
 
 def cmd_regions(args):
-    try:
-        model = load_model(args.model)
-    except (OSError, ParseError) as e:
-        return _fail(EXIT_INPUT, f"cannot load model: {e}")
+    model = _load(args.model)
     if not isinstance(model, PwlNetwork):
-        return _fail(EXIT_INPUT, "region analysis needs a network model")
+        raise CliError(EXIT_INPUT, "region analysis needs a network model")
     box = _parse_box(args.box, model.in_dim) if args.box else \
         (np.full(model.in_dim, -1.0), np.full(model.in_dim, 1.0))
     result = count_regions(model, box, method=args.method)
@@ -506,14 +450,9 @@ def cmd_regions(args):
 
 
 def cmd_equiv(args):
-    try:
-        a = load_model(args.model_a)
-        b = load_model(args.model_b)
-    except (OSError, ParseError) as e:
-        return _fail(EXIT_INPUT, f"cannot load model: {e}")
+    a, b = _load(args.model_a), _load(args.model_b)
     if a.dim != b.dim:
-        return _fail(EXIT_INPUT,
-                     f"dimension mismatch: {a.dim} vs {b.dim}")
+        raise CliError(EXIT_INPUT, f"dimension mismatch: {a.dim} vs {b.dim}")
     box = _parse_box(args.box, a.dim)
     _check_density(args.density, a.dim)
     report = check_equivalence(a, b, box, grid_density=args.density,
@@ -523,20 +462,11 @@ def cmd_equiv(args):
 
 
 def cmd_trace_export(args):
-    try:
-        with open(args.trace, newline="") as fh:
-            rows = list(csv.reader(fh))
-    except OSError as e:
-        return _fail(EXIT_INPUT, f"cannot read trace: {e}")
+    with _reading("read trace"), open(args.trace, newline="") as fh:
+        rows = list(csv.reader(fh))
     if not rows:
-        return _fail(EXIT_INPUT, "empty trace file")
-    header, body = rows[0], rows[1:]
-    out = io.StringIO()
-    w = csv.writer(out, lineterminator="\n")
-    w.writerow(header)
-    for r in body:
-        w.writerow(r)
-    text = out.getvalue()
+        raise CliError(EXIT_INPUT, "empty trace file")
+    text = csv_text(rows[0], rows[1:])
     if args.out:
         write_text_atomic(args.out, text)
     else:
@@ -623,9 +553,9 @@ def main(argv=None):
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except UsageError as e:
-        print(f"usage error: {e}", file=sys.stderr)
-        return EXIT_USAGE
+    except CliError as e:
+        print(e, file=sys.stderr)
+        return e.code
     except (BudgetExceededError, DcSizeError) as e:
         print(str(e), file=sys.stderr)
         return EXIT_BUDGET

@@ -8,6 +8,7 @@ the header; ``save_model`` picks the format from the object type.
 
 from __future__ import annotations
 
+import math
 import os
 import tempfile
 
@@ -15,7 +16,7 @@ import numpy as np
 
 from .affine import AffineFunction
 from .conventional import ConventionalPWL, Halfspace, Region
-from .errors import ParseError
+from .errors import DimensionMismatchError, ParseError
 from .models import (
     AhhBasis,
     AhhModel,
@@ -106,16 +107,22 @@ def _fields(line, reader):
 
 def _floats(text, reader):
     try:
-        return np.array([float(v) for v in text.split(",")])
+        values = [float(v) for v in text.split(",")]
+        if all(map(math.isfinite, values)):
+            return np.array(values)
     except ValueError:
-        reader.error(f"bad float list {text!r}", needle=text)
+        pass
+    reader.error(f"bad float list {text!r}", needle=text)
 
 
 def _float(text, reader):
     try:
-        return float(text)
+        value = float(text)
+        if math.isfinite(value):
+            return value
     except ValueError:
-        reader.error(f"bad float {text!r}", needle=text)
+        pass
+    reader.error(f"bad float {text!r}", needle=text)
 
 
 def _int(text, reader):
@@ -398,7 +405,7 @@ def _read_lattice(r, fields):
     for _ in range(_int(fields.get("sets", "0"), r)):
         line = r.next("S:")
         body = line[2:].strip()
-        sets.append([int(tok) for tok in body.split(",") if tok])
+        sets.append([_int(tok, r) for tok in body.split(",") if tok])
     return LatticeModel(affines, sets)
 
 
@@ -489,7 +496,10 @@ def deserialize(text):
     if len(parts) < 2 or parts[1] != "v1" or parts[0] not in _READERS:
         r.error(f"unrecognized header {header!r}")
     fields = _fields(" ".join([parts[0]] + parts[2:]), r)
-    model = _READERS[parts[0]](r, fields)
+    try:
+        model = _READERS[parts[0]](r, fields)
+    except (ValueError, DimensionMismatchError) as e:
+        raise ParseError(f"bad model: {e}", r.pos) from None
     if not r.done():
         r.error(f"trailing content {r.peek()!r}")
     return model

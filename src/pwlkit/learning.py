@@ -68,26 +68,56 @@ class Dataset:
 
         ``header`` may be True, False, or "auto" (non-numeric first row).
         """
-        with open(path, newline="") as fh:
-            rows = [r for r in csv.reader(fh) if r]
-        if not rows:
+        names, data = read_csv_floats(path, header)
+        if names is None and not data.size:
             raise ValueError(f"{path}: empty dataset")
-        names = None
-        if header == "auto":
-            try:
-                [float(v) for v in rows[0]]
-                header = False
-            except ValueError:
-                header = True
-        if header:
-            names = tuple(rows[0][:-1])
-            rows = rows[1:]
-        if not rows:
+        if not data.size:
             raise ValueError(f"{path}: no data rows")
-        data = np.array([[float(v) for v in r] for r in rows])
         if data.shape[1] < 2:
             raise ValueError(f"{path}: need at least one input column plus target")
-        return cls(data[:, :-1], data[:, -1], feature_names=names)
+        return cls(data[:, :-1], data[:, -1],
+                   feature_names=None if names is None else names[:-1])
+
+
+def read_csv_floats(path, header="auto"):
+    """The header row (or None) and the float rows of a comma-separated file.
+
+    Blank lines are skipped.  ``header`` may be True, False, or "auto" (a
+    first row that is not all numbers).  A bad value, or a row whose length
+    differs from the first data row, is a ValueError naming its row.
+    """
+    rows = []
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        records = filter(None, reader)
+        names = next(records, None) if header and header != "auto" else None
+        for raw in records:
+            try:
+                row = list(map(float, raw))
+            except ValueError:
+                if header == "auto" and names is None and not rows:
+                    names = raw
+                    continue
+                for col, v in enumerate(raw, 1):
+                    try:
+                        float(v)
+                    except ValueError:
+                        raise ValueError(f"row {reader.line_num}, column {col}: "
+                                         f"not a number: {v!r}") from None
+            if rows and len(row) != len(rows[0]):
+                raise ValueError(f"row {reader.line_num} has {len(row)} values, "
+                                 f"the first has {len(rows[0])}")
+            rows.append(row)
+    return names, np.array(rows)
+
+
+def csv_text(header, rows):
+    """CSV text of a header row and the rows under it, newline-terminated."""
+    buf = io.StringIO()
+    w = csv.writer(buf, lineterminator="\n")
+    w.writerow(header)
+    w.writerows(rows)
+    return buf.getvalue()
 
 
 @dataclass
@@ -137,13 +167,9 @@ class FitTrace:
                                         action))
 
     def to_csv(self):
-        buf = io.StringIO()
-        w = csv.writer(buf, lineterminator="\n")
-        w.writerow(["step", "term_count", "train_sse", "validation_sse", "action"])
-        for r in self.records:
-            w.writerow([r.step, r.term_count, repr(r.train_sse),
-                        repr(r.validation_sse), r.action])
-        return buf.getvalue()
+        return csv_text(["step", "term_count", "train_sse", "validation_sse", "action"],
+                        ([r.step, r.term_count, repr(r.train_sse), repr(r.validation_sse),
+                          r.action] for r in self.records))
 
     @property
     def final(self):

@@ -1,0 +1,138 @@
+"""Every input file the CLI reads ends in exit 2 with its own stderr prefix
+when it is missing, not UTF-8 text, over the csv field limit or malformed,
+and model files reject constructor errors and non-finite numbers."""
+
+import numpy as np
+import pytest
+
+from pwlkit.cli import main
+from pwlkit.formats import save_model
+from pwlkit.models import HingeModel
+
+
+def run(capsys, *argv):
+    code = main([str(a) for a in argv])
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+@pytest.fixture
+def hinge_file(tmp_path):
+    path = tmp_path / "hh.txt"
+    save_model(HingeModel([1.0], 0.2, [(1.5, [1.0], -0.3)]), path)
+    return path
+
+
+@pytest.fixture
+def data_csv(tmp_path):
+    x = np.linspace(-1.0, 1.0, 20).tolist()
+    path = tmp_path / "data.csv"
+    path.write_text("x,y\n" + "".join(f"{a!r},{abs(a)!r}\n" for a in x))
+    return path
+
+
+# ---------------------------------------------------------------------------
+# unreadable input files
+# ---------------------------------------------------------------------------
+
+def _argv(flag, bad, tmp_path, hinge_file, data_csv):
+    out = tmp_path / "out.txt"
+    return {
+        "--model": ["eval", "--model", bad, "--grid", "0:1:0.5"],
+        "--data": ["fit", "--data", bad, "--kind", "hh", "--out", out],
+        "--points": ["eval", "--model", hinge_file, "--points", bad],
+        "--trace": ["trace-export", "--trace", bad],
+        "--config": ["fit", "--data", data_csv, "--kind", "hh", "--out", out,
+                     "--config", bad],
+    }[flag]
+
+
+PREFIX = {"--model": "cannot load model: ", "--data": "cannot read dataset: ",
+          "--points": "cannot read points: ", "--trace": "cannot read trace: ",
+          "--config": "cannot read config: "}
+
+CONTENT = {
+    "missing": None,
+    "not-utf8": b"x,y\n\xff\xfe,1\n",
+    # one field over the csv module's 131072-byte limit; the points case is
+    # in test_cli_input_checks
+    "huge-field": b"x,y\n1," + b"2" * 200000 + b"\n",
+}
+
+CASES = [(flag, case) for flag in PREFIX for case in ("missing", "not-utf8")] + [
+    (flag, "huge-field") for flag in ("--data", "--trace")]
+
+
+@pytest.mark.parametrize("flag,case", CASES)
+def test_unreadable_input_exits_2(capsys, tmp_path, hinge_file, data_csv, flag, case):
+    bad = tmp_path / f"bad-{case}"
+    if CONTENT[case] is not None:
+        bad.write_bytes(CONTENT[case])
+    code, out, err = run(capsys, *_argv(flag, bad, tmp_path, hinge_file, data_csv))
+    assert code == 2
+    assert out == ""
+    assert err.startswith(PREFIX[flag]) and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("text,message", [
+    ("x,y\n0,0\n0.5\n", "row 3 has 1 values, the first has 2"),
+    ("x,y\n0,0\n\n0.5,abc\n", "row 4, column 2: not a number: 'abc'"),
+])
+def test_bad_dataset_row_exits_2_naming_the_row(capsys, tmp_path, text, message):
+    data = tmp_path / "data.csv"
+    data.write_text(text)
+    code, out, err = run(capsys, "fit", "--data", data, "--kind", "hh",
+                         "--out", tmp_path / "m.txt")
+    assert code == 2
+    assert out == ""
+    assert err == f"cannot read dataset: {message}\n"
+
+
+# ---------------------------------------------------------------------------
+# model files with values no model can take
+# ---------------------------------------------------------------------------
+
+REFUSED = {
+    "cplr-eta": "pwl-cplr v1 dim=1 terms=1\naffine: alpha=1.0 beta=0.0\n"
+                "term: eta=3 alpha=1.0 beta=0.0\n",
+    "hh-1d-alpha-under-2d": "pwl-hh v1 dim=2 hinges=1\naffine: alpha=1.0,0.0 beta=0.0\n"
+                            "hinge: w=1.0 alpha=1.0 beta=0.0\n",
+    "sbf-negative-gamma": "pwl-sbf v1 dim=1 bases=1\nbasis: w=1.0 gamma=-1.0 zeta=0.0\n",
+    "hlcplr-zero-interval": "pwl-hlcplr v1 dim=1 interval=0.0 coords=0\n",
+    "ghh-no-terms": "pwl-ghh v1 dim=1 terms=0\n",
+    "dc-ragged-rows": "pwl-dc v1 dim=1 plus=1 minus=1\np: J=1.0 b=0.0\n"
+                      "m: J=1.0,2.0 b=0.0\n",
+    "conventional-2d-piece": "pwl-conventional v1 dim=1 pieces=1\nJ=1.0,2.0 b=0.0\n"
+                             "H: normal=1.0 offset=0.0 closed=1\n",
+    "lattice-bad-index": "pwl-lattice v1 dim=1 affines=1 sets=1\n"
+                         "a: J=1.0 b=0.0\nS: 0,x\n",
+    "lattice-index-out-of-range": "pwl-lattice v1 dim=1 affines=1 sets=1\n"
+                                  "a: J=1.0 b=0.0\nS: 5\n",
+}
+
+
+@pytest.mark.parametrize("name", sorted(REFUSED))
+def test_model_a_constructor_refuses_exits_2(capsys, tmp_path, name):
+    path = tmp_path / f"{name}.txt"
+    path.write_text(REFUSED[name])
+    code, out, err = run(capsys, "eval", "--model", path, "--grid", "0:1:0.5")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("cannot load model: ") and "(line " in err
+
+
+NON_FINITE = ("pwl-hh v1 dim=1 hinges=1\naffine: alpha={} beta={}\n"
+              "hinge: w={} alpha=1.0 beta=0.0\n")
+
+
+@pytest.mark.parametrize("values,line", [(("nan", "0.0", "1.0"), 2),
+                                         (("1.0", "-inf", "1.0"), 2),
+                                         (("1.0", "0.0", "inf"), 3)])
+def test_non_finite_model_number_exits_2(capsys, tmp_path, values, line):
+    path = tmp_path / "hh.txt"
+    path.write_text(NON_FINITE.format(*values))
+    code, out, err = run(capsys, "eval", "--model", path, "--grid", "0:1:0.5")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("cannot load model: bad float") and f"(line {line}, " in err
