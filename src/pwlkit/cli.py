@@ -178,10 +178,24 @@ def _read_config(path):
     return out
 
 
-def _coerce(value, like):
-    if isinstance(like, bool):
-        return value.lower() in ("1", "true", "yes")
-    return type(like)(value)
+_BOOLEANS = {"1": True, "true": True, "yes": True, "0": False, "false": False, "no": False}
+
+
+def _boolean(text):
+    """``1``/``true``/``yes`` or ``0``/``false``/``no``, in any case."""
+    value = _BOOLEANS.get(text.lower())
+    if value is None:
+        raise argparse.ArgumentTypeError(
+            f"not a boolean: {text!r}, want 1/true/yes or 0/false/no")
+    return value
+
+
+def _coerce(key, value, like):
+    """A config file's ``value`` for field ``key``, of the type of ``like``."""
+    try:
+        return _boolean(value) if isinstance(like, bool) else type(like)(value)
+    except (ValueError, argparse.ArgumentTypeError) as e:
+        raise UsageError(f"config field {key}: {e}") from e
 
 
 def _build_config(cls, file_values, overrides):
@@ -190,7 +204,7 @@ def _build_config(cls, file_values, overrides):
     try:
         for key, value in file_values.items():
             if hasattr(defaults, key):
-                kwargs[key] = _coerce(value, getattr(defaults, key))
+                kwargs[key] = _coerce(key, value, getattr(defaults, key))
         for key, value in overrides.items():
             if value is not None:
                 kwargs[key] = value
@@ -490,8 +504,8 @@ def build_parser():
     f.add_argument("--out", required=True)
     f.add_argument("--trace")
     f.add_argument("--config")
-    f.add_argument("--header", type=lambda v: v.lower() in ("1", "true", "yes"),
-                   default=None, help="force header row on/off (default: auto)")
+    f.add_argument("--header", type=_boolean, default=None,
+                   help="force a header row: 1/true/yes or 0/false/no (default: auto)")
     f.add_argument("--max-terms", type=int, default=None)
     f.add_argument("--seed", type=int, default=None)
     f.add_argument("--ridge", type=float, default=None)

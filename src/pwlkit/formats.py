@@ -132,6 +132,14 @@ def _int(text, reader):
         reader.error(f"bad integer {text!r}", needle=text)
 
 
+def _count(text, reader):
+    """A count or a dimension: a non-negative integer."""
+    value = _int(text, reader)
+    if value < 0:
+        reader.error(f"bad count {text!r}", needle=text)
+    return value
+
+
 # ---------------------------------------------------------------------------
 # Writers
 # ---------------------------------------------------------------------------
@@ -300,8 +308,8 @@ def _read_halfspaces(r):
 
 
 def _read_conventional(r, fields):
-    dim = _int(fields.get("dim", ""), r)
-    pieces_n = _int(fields.get("pieces", ""), r)
+    dim = _count(fields.get("dim", ""), r)
+    pieces_n = _count(fields.get("pieces", ""), r)
     pieces, regions = [], []
     for label in range(pieces_n):
         f = _fields(r.next("J="), r)
@@ -321,7 +329,7 @@ def _read_cplr(r, fields):
     f = _fields(r.next("affine:"), r)
     alpha0, beta0 = _floats(f["alpha"], r), _float(f["beta"], r)
     terms = []
-    for _ in range(_int(fields.get("terms", "0"), r)):
+    for _ in range(_count(fields.get("terms", "0"), r)):
         tf = _fields(r.next("term:"), r)
         terms.append((_int(tf["eta"], r), _floats(tf["alpha"], r),
                       _float(tf["beta"], r)))
@@ -332,7 +340,7 @@ def _read_hh(r, fields):
     f = _fields(r.next("affine:"), r)
     alpha0, beta0 = _floats(f["alpha"], r), _float(f["beta"], r)
     hinges = []
-    for _ in range(_int(fields.get("hinges", "0"), r)):
+    for _ in range(_count(fields.get("hinges", "0"), r)):
         hf = _fields(r.next("hinge:"), r)
         hinges.append((_float(hf["w"], r), _floats(hf["alpha"], r),
                        _float(hf["beta"], r)))
@@ -341,10 +349,10 @@ def _read_hh(r, fields):
 
 def _read_ghh(r, fields):
     terms = []
-    for _ in range(_int(fields.get("terms", "0"), r)):
+    for _ in range(_count(fields.get("terms", "0"), r)):
         tf = _fields(r.next("term:"), r)
         affines = []
-        for _ in range(_int(tf["affines"], r)):
+        for _ in range(_count(tf["affines"], r)):
             af = _fields(r.next("a:"), r)
             affines.append(AffineFunction(_floats(af["J"], r), _float(af["b"], r)))
         terms.append((_float(tf["w"], r), affines))
@@ -355,7 +363,7 @@ def _read_expr(r):
     f = _fields(r.next("node:"), r)
     affine = AffineFunction(_floats(f["alpha"], r), _float(f["beta"], r))
     children = []
-    for _ in range(_int(f["children"], r)):
+    for _ in range(_count(f["children"], r)):
         cf = _fields(r.next("child:"), r)
         children.append((_float(cf["coeff"], r), _read_expr(r)))
     return CplrExpr(affine, children)
@@ -367,42 +375,42 @@ def _read_nested(r, fields):
 
 def _read_hlcplr(r, fields):
     coords = []
-    for _ in range(_int(fields.get("coords", "0"), r)):
+    for _ in range(_count(fields.get("coords", "0"), r)):
         cf = _fields(r.next("c:"), r)
         coords.append((_int(cf["axis"], r), _int(cf["knot"], r)))
-    return HlCplrBasis(_int(fields["dim"], r), _float(fields["interval"], r),
+    return HlCplrBasis(_count(fields["dim"], r), _float(fields["interval"], r),
                        coords)
 
 
 def _read_ahh(r, fields):
     bases = []
-    for _ in range(_int(fields.get("bases", "0"), r)):
+    for _ in range(_count(fields.get("bases", "0"), r)):
         bf = _fields(r.next("basis:"), r)
         factors = []
-        for _ in range(_int(bf["factors"], r)):
+        for _ in range(_count(bf["factors"], r)):
             ff = _fields(r.next("f:"), r)
             factors.append((_int(ff["delta"], r), _int(ff["var"], r),
                             _float(ff["knot"], r)))
         bases.append((_float(bf["w"], r), AhhBasis(factors)))
-    return AhhModel(_int(fields["dim"], r), _float(fields["intercept"], r), bases)
+    return AhhModel(_count(fields["dim"], r), _float(fields["intercept"], r), bases)
 
 
 def _read_sbf(r, fields):
     bases = []
-    for _ in range(_int(fields.get("bases", "0"), r)):
+    for _ in range(_count(fields.get("bases", "0"), r)):
         bf = _fields(r.next("basis:"), r)
         bases.append((_float(bf["w"], r), _floats(bf["gamma"], r),
                       _floats(bf["zeta"], r)))
-    return SbfModel(_int(fields["dim"], r), bases)
+    return SbfModel(_count(fields["dim"], r), bases)
 
 
 def _read_lattice(r, fields):
     affines = []
-    for _ in range(_int(fields.get("affines", "0"), r)):
+    for _ in range(_count(fields.get("affines", "0"), r)):
         af = _fields(r.next("a:"), r)
         affines.append(AffineFunction(_floats(af["J"], r), _float(af["b"], r)))
     sets = []
-    for _ in range(_int(fields.get("sets", "0"), r)):
+    for _ in range(_count(fields.get("sets", "0"), r)):
         line = r.next("S:")
         body = line[2:].strip()
         sets.append([_int(tok, r) for tok in body.split(",") if tok])
@@ -410,19 +418,22 @@ def _read_lattice(r, fields):
 
 
 def _read_dc(r, fields):
-    plus, minus = [], []
-    for _ in range(_int(fields.get("plus", "0"), r)):
-        pf = _fields(r.next("p:"), r)
-        plus.append(np.concatenate([_floats(pf["J"], r), [_float(pf["b"], r)]]))
-    for _ in range(_int(fields.get("minus", "0"), r)):
-        mf = _fields(r.next("m:"), r)
-        minus.append(np.concatenate([_floats(mf["J"], r), [_float(mf["b"], r)]]))
-    return DCForm(np.array(plus), np.array(minus))
+    sides, width = ([], []), None
+    for rows, tag, key in zip(sides, ("p:", "m:"), ("plus", "minus")):
+        for _ in range(_count(fields.get(key, "0"), r)):
+            f = _fields(r.next(tag), r)
+            J = _floats(f["J"], r)
+            width = J.shape[0] if width is None else width
+            if J.shape[0] != width:
+                r.error(f"J has {J.shape[0]} values, the first row has {width}",
+                        needle=f["J"])
+            rows.append(np.concatenate([J, [_float(f["b"], r)]]))
+    return DCForm(np.array(sides[0]), np.array(sides[1]))
 
 
 def _read_matrix(r, name):
     f = _fields(r.next(f"{name}"), r)
-    rows, cols = _int(f["rows"], r), _int(f["cols"], r)
+    rows, cols = _count(f["rows"], r), _count(f["cols"], r)
     data = np.empty((rows, cols))
     for i in range(rows):
         row = _floats(r.next(), r)
@@ -435,11 +446,11 @@ def _read_matrix(r, name):
 def _read_network(r, fields):
     header = r.pos
     layers = []
-    for _ in range(_int(fields.get("layers", "0"), r)):
+    for _ in range(_count(fields.get("layers", "0"), r)):
         lf = _fields(r.next("layer:"), r)
         line = r.pos
         kind = lf.pop("activation", "linear")
-        out_rows = _int(lf["out"], r)
+        out_rows = _count(lf["out"], r)
         del lf["out"]
         config = {}
         for k, v in lf.items():
@@ -496,10 +507,15 @@ def deserialize(text):
     if len(parts) < 2 or parts[1] != "v1" or parts[0] not in _READERS:
         r.error(f"unrecognized header {header!r}")
     fields = _fields(" ".join([parts[0]] + parts[2:]), r)
+    declared = {key: _count(fields[key], r) for key in ("dim", "inputs") if key in fields}
     try:
         model = _READERS[parts[0]](r, fields)
     except (ValueError, DimensionMismatchError) as e:
         raise ParseError(f"bad model: {e}", r.pos) from None
+    for key, value in declared.items():
+        if value != model.dim:
+            raise ParseError(f"header has {key}={value}, the model's data has "
+                             f"dimension {model.dim}", fields.line)
     if not r.done():
         r.error(f"trailing content {r.peek()!r}")
     return model

@@ -17,6 +17,7 @@ from .affine import AffineFunction, as_points, grid_points
 from .conventional import (
     ConventionalPWL,
     chebyshev_center,
+    chebyshev_centers,
     check_consistent_variation,
     check_continuity,
 )
@@ -325,8 +326,8 @@ def cplr_from_consistent(model):
     h = len(planes)
 
     signs = np.zeros((model.piece_count, h))
-    for i, region in enumerate(model.regions):
-        center, _ = chebyshev_center(region, box=box)
+    # a center only picks the side of each hyperplane its region lies on
+    for i, (center, _) in enumerate(chebyshev_centers(model.regions, box=box)):
         if center is None:
             raise RuntimeError(f"region {i} has no interior point for side probing")
         for k, (alpha, beta, _) in enumerate(planes):

@@ -119,13 +119,13 @@ def test_semantic_probe_solves_each_region_center_once(monkeypatch):
         [AffineFunction([0.0, 0.0], 0.0), AffineFunction([1.0, 0.0], 0.0)],
         domain=box_region([-1, -1], [1, 1]))
     seen = []
-    original = conventional.chebyshev_center
+    original = conventional._chebyshev_lp
 
     def spy(region, box=None):
         seen.append(region)
         return original(region, box=box)
 
-    monkeypatch.setattr(conventional, "chebyshev_center", spy)
+    monkeypatch.setattr(conventional, "_chebyshev_lp", spy)
     assert conventional.find_facets(m) == []
     assert sum(r is m.regions[0] for r in seen) == 1
     assert len(seen) == 2       # the joint region, then region 0

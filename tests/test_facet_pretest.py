@@ -31,7 +31,9 @@ def reference_find_facets(model):
                             np.all(np.abs(ai - aj) <= 1e-9):
                         candidates[hyperplane_key(ai, bi)] = (ai, bi, si)
             if not candidates:
-                tight = conventional._tight_hyperplanes(joint, canon[i] + canon[j], box)
+                tight = conventional._tight_hyperplanes(
+                    joint, canon[i] + canon[j],
+                    *conventional.chebyshev_center(joint, box=box))
                 for alpha, beta in tight:
                     if i not in centers:
                         centers[i], _ = conventional.chebyshev_center(regions[i], box=box)
@@ -55,23 +57,23 @@ def signature(facets):
 
 
 def compare(model):
-    """Facets of both searches (asserted equal) and the ``_facet_interior``
-    calls each made."""
+    """Facets of both searches (asserted equal) and the facet LPs each posed
+    (``_facet_lp`` calls)."""
     calls = []
-    original = conventional._facet_interior
+    original = conventional._facet_lp
 
     def counting(*args, **kwargs):
         calls[-1] += 1
         return original(*args, **kwargs)
 
-    conventional._facet_interior = counting
+    conventional._facet_lp = counting
     try:
         calls.append(0)
         want = reference_find_facets(model)
         calls.append(0)
         got = conventional.find_facets(model)
     finally:
-        conventional._facet_interior = original
+        conventional._facet_lp = original
     assert signature(got) == signature(want)
     return got, calls[0], calls[1]
 

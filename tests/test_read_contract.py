@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 
 from pwlkit.cli import main
-from pwlkit.formats import save_model
+from pwlkit.formats import save_model, serialize
 from pwlkit.models import HingeModel
+from pwlkit.network import network_from_sizes
 
 
 def run(capsys, *argv):
@@ -136,3 +137,41 @@ def test_non_finite_model_number_exits_2(capsys, tmp_path, values, line):
     assert code == 2
     assert out == ""
     assert err.startswith("cannot load model: bad float") and f"(line {line}, " in err
+
+
+# ---------------------------------------------------------------------------
+# model headers that disagree with their data
+# ---------------------------------------------------------------------------
+
+HEADER_MISMATCH = {
+    "dc-dim-3-over-2d-rows": (
+        "pwl-dc v1 dim=3 plus=1 minus=1\np: J=1.0,2.0 b=0.0\nm: J=0.0,0.0 b=0.0\n",
+        "header has dim=3, the model's data has dimension 2 (line 1)"),
+    "hh-dim-2-over-1d-vectors": (
+        "pwl-hh v1 dim=2 hinges=1\naffine: alpha=1.0 beta=0.0\n"
+        "hinge: w=1.0 alpha=1.0 beta=0.0\n",
+        "header has dim=2, the model's data has dimension 1 (line 1)"),
+    "sbf-negative-bases": ("pwl-sbf v1 dim=1 bases=-3\n",
+                           "bad count '-3' (line 1, column 24)"),
+    "dc-p-rows-of-two-widths": (
+        "pwl-dc v1 dim=2 plus=2 minus=1\np: J=1.0,2.0 b=0.0\np: J=1.0 b=0.0\n"
+        "m: J=0.0,0.0 b=0.0\n",
+        "J has 1 values, the first row has 2 (line 3, column 6)"),
+    "dc-m-row-wider-than-p": (
+        "pwl-dc v1 dim=1 plus=1 minus=1\np: J=1.0 b=0.0\nm: J=1.0,2.0 b=0.0\n",
+        "J has 2 values, the first row has 1 (line 3, column 6)"),
+    "net-inputs-3-over-2-columns": (
+        serialize(network_from_sizes([2, 2, 1], "relu")).replace("inputs=2", "inputs=3"),
+        "header has inputs=3, the model's data has dimension 2 (line 1)"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(HEADER_MISMATCH))
+def test_header_that_disagrees_with_the_data_exits_2(capsys, tmp_path, name):
+    text, message = HEADER_MISMATCH[name]
+    path = tmp_path / f"{name}.txt"
+    path.write_text(text)
+    code, out, err = run(capsys, "eval", "--model", path, "--grid", "0:1:0.5")
+    assert code == 2
+    assert out == ""
+    assert err == f"cannot load model: {message}\n"

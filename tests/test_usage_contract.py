@@ -2,11 +2,12 @@
 codes (64 for usage, 2 for input) instead of tracebacks."""
 
 import tracemalloc
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
 
-from pwlkit.cli import MAX_GRID_POINTS, UsageError, _check_density, main
+from pwlkit.cli import MAX_GRID_POINTS, UsageError, _build_config, _check_density, main
 from pwlkit.formats import save_model, serialize
 from pwlkit.models import HingeModel
 from pwlkit.network import init_params, network_from_sizes
@@ -114,6 +115,55 @@ def test_non_numeric_config_value_exits_64(capsys, tmp_path, data_csv):
     assert code == 64
     assert out == ""
     assert err.startswith("usage error: ") and "'abc'" in err
+
+
+@pytest.mark.parametrize("word", ["on", "off", "2", "y", "truth", ""])
+def test_header_flag_takes_only_boolean_words(capsys, tmp_path, data_csv, word):
+    code, out, err = run(capsys, "fit", "--data", data_csv, "--kind", "hh",
+                         "--out", tmp_path / "m.txt", "--header", word)
+    assert code == 64
+    assert out == ""
+    assert err == (f"usage error: argument --header: not a boolean: {word!r}, "
+                   "want 1/true/yes or 0/false/no\n")
+
+
+@pytest.mark.parametrize("word", ["1", "TRUE", "Yes"])
+def test_header_flag_on_reads_the_header_row(capsys, tmp_path, word):
+    path = tmp_path / "data.csv"
+    path.write_text("x,y\n" + "".join(f"{k / 8!r},{abs(k / 8)!r}\n" for k in range(-8, 9)))
+    code, _, err = run(capsys, "fit", "--data", path, "--kind", "hh",
+                       "--out", tmp_path / "m.txt", "--header", word)
+    assert code == 0, err
+
+
+@pytest.mark.parametrize("word", ["0", "False", "NO"])
+def test_header_flag_off_reads_the_first_row_as_data(capsys, tmp_path, word):
+    path = tmp_path / "data.csv"
+    path.write_text("x,y\n0.0,1.0\n")
+    code, _, err = run(capsys, "fit", "--data", path, "--kind", "hh",
+                       "--out", tmp_path / "m.txt", "--header", word)
+    assert code == 2
+    assert err == "cannot read dataset: row 1, column 1: not a number: 'x'\n"
+
+
+@dataclass
+class _Switch:
+    flag: bool = False
+
+
+@pytest.mark.parametrize("word,value", [("1", True), ("true", True), ("YES", True),
+                                        ("0", False), ("False", False), ("no", False)])
+def test_boolean_config_field_takes_boolean_words(word, value):
+    assert _build_config(_Switch, {"flag": word}, {}).flag is value
+
+
+@pytest.mark.parametrize("word", ["on", "off", "2", ""])
+def test_boolean_config_field_refuses_other_words(word):
+    with pytest.raises(UsageError) as err:
+        _build_config(_Switch, {"flag": word}, {})
+    assert err.value.code == 64
+    assert str(err.value) == (f"usage error: config field flag: not a boolean: {word!r}, "
+                              "want 1/true/yes or 0/false/no")
 
 
 @pytest.mark.parametrize("hidden,message", [("a,b", "bad hidden sizes 'a,b'"),
