@@ -12,6 +12,7 @@ from .conventional import (
 )
 from .errors import (
     BudgetExceededError,
+    ConstructionError,
     CoverageGapError,
     DcSizeError,
     DegenerateSplitError,

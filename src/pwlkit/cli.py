@@ -20,6 +20,7 @@ from .affine import mesh_points
 from .conventional import ConventionalPWL, check_consistent_variation, check_continuity
 from .errors import (
     BudgetExceededError,
+    ConstructionError,
     DcSizeError,
     DiscontinuousModelError,
     NotCplrRepresentableError,
@@ -387,6 +388,8 @@ def cmd_convert(args):
                        f"hyperplane: {e.certificate}") from e
     except (DiscontinuousModelError, ValueError) as e:
         raise CliError(EXIT_INPUT, f"conversion failed: {e}") from e
+    except ConstructionError as e:
+        raise CliError(EXIT_VIOLATIONS, f"conversion failed: {e}") from e
 
     if box is None and isinstance(model, ConventionalPWL) and model.domain is not None:
         box = model.domain_box()

@@ -12,10 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import sparse
-from scipy.linalg import null_space
-from scipy.optimize import linprog
-from scipy.stats import qmc
 
 from .affine import as_points, as_vector
 from .errors import (
@@ -152,6 +148,16 @@ def _default_box(n):
     return np.full(n, -DEFAULT_BOX_HALFWIDTH), np.full(n, DEFAULT_BOX_HALFWIDTH)
 
 
+def linprog(*args, **kwargs):
+    """``scipy.optimize.linprog``, imported when first called.
+
+    Importing scipy costs about a second, so the package imports it only
+    where it is used: code that solves no LP never loads it.
+    """
+    from scipy.optimize import linprog as scipy_linprog
+    return scipy_linprog(*args, **kwargs)
+
+
 def solve_lp_blocks(blocks):
     """Solve independent LPs together and return each one's ``(status, x)``.
 
@@ -168,6 +174,7 @@ def solve_lp_blocks(blocks):
     solved as it is.
     """
     if len(blocks) > 1:
+        from scipy import sparse
         res = linprog(np.concatenate([b[0] for b in blocks]),
                       A_ub=sparse.block_diag([b[1] for b in blocks], format="csc"),
                       b_ub=np.concatenate([b[2] for b in blocks]),
@@ -371,6 +378,7 @@ class Facet:
         if k == 1:
             offs = np.linspace(-reach, reach, count - 1)[:, None]
         else:
+            from scipy.stats import qmc
             sampler = qmc.Halton(d=k, seed=7)
             cube = sampler.random(count - 1)
             offs = (2.0 * cube - 1.0) * reach / np.sqrt(k)
@@ -393,6 +401,7 @@ def _facet_lp(alpha, beta, joint, box):
     the answer needs no LP; ``x0`` is then None if the closures cannot meet
     on the hyperplane, and the facet is the point ``x0`` otherwise (n = 1).
     """
+    from scipy.linalg import null_space
     n = alpha.shape[0]
     x0 = beta * alpha
     N = null_space(alpha[None, :])

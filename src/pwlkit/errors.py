@@ -42,6 +42,11 @@ class NotCplrRepresentableError(PwlError):
         )
 
 
+class ConstructionError(PwlError, RuntimeError):
+    """A transform built a model that failed its own verification, or found
+    no interior point to build from."""
+
+
 class DegenerateSplitError(PwlError):
     """Hinge finding could not maintain two non-empty sides."""
 

@@ -32,6 +32,11 @@ from .models import (
 from .network import Layer, PwlNetwork, make_activation
 from .transforms import DCForm
 
+# Deepest child a ``pwl-nested`` node may have below the root.  The
+# expression tree is walked recursively (parsing, sorting, evaluation, DC
+# lowering), so this keeps every walk well inside Python's recursion limit.
+MAX_NEST_DEPTH = 100
+
 
 def _fmt(v):
     return repr(float(v))
@@ -359,13 +364,16 @@ def _read_ghh(r, fields):
     return GhhModel(terms)
 
 
-def _read_expr(r):
-    f = _fields(r.next("node:"), r)
+def _read_expr(r, depth=0):
+    line = r.next("node:")
+    if depth > MAX_NEST_DEPTH:
+        r.error(f"nesting deeper than {MAX_NEST_DEPTH} levels")
+    f = _fields(line, r)
     affine = AffineFunction(_floats(f["alpha"], r), _float(f["beta"], r))
     children = []
     for _ in range(_count(f["children"], r)):
         cf = _fields(r.next("child:"), r)
-        children.append((_float(cf["coeff"], r), _read_expr(r)))
+        children.append((_float(cf["coeff"], r), _read_expr(r, depth + 1)))
     return CplrExpr(affine, children)
 
 

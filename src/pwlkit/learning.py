@@ -639,6 +639,14 @@ def _refit_columns(C, y, ridge):
     return theta, float(np.sum((C @ theta - y) ** 2))
 
 
+def _ahh_knots(xs):
+    """Quantile knot candidates of one variable over a parent's support, or
+    None when the support has no span in that variable."""
+    if xs.max() - xs.min() <= 1e-12:
+        return None
+    return np.unique(np.quantile(xs, AHH_KNOT_QUANTILES))
+
+
 def fit_ahh(data, cfg=None):
     """Grow min-of-hinge bases by recursive partition search, then prune.
 
@@ -659,6 +667,9 @@ def fit_ahh(data, cfg=None):
 
     trace.add(0, sse, val_sse_of(bases, theta, sse), "intercept")
 
+    # a parent's support never changes while bases only grow, so its knots
+    # are found once: (parent, v) -> knots, or None for a zero-span support
+    knots_of = {}
     while len(bases) + 2 <= cfg.max_terms:
         B = _ahh_columns(Xt, bases)
         basis_cols = B[:, 1:]
@@ -670,10 +681,11 @@ def fit_ahh(data, cfg=None):
             if not np.any(support):
                 continue
             for v in range(n):
-                xs = Xt[support, v]
-                if xs.max() - xs.min() <= 1e-12:
+                if (parent, v) not in knots_of:
+                    knots_of[parent, v] = _ahh_knots(Xt[support, v])
+                knots = knots_of[parent, v]
+                if knots is None:
                     continue
-                knots = np.unique(np.quantile(xs, AHH_KNOT_QUANTILES))
                 x = Xt[:, v][:, None]
                 blocks = np.empty((Xt.shape[0], knots.shape[0], 2))
                 np.minimum(parent_col[:, None], np.maximum(x - knots, 0.0),

@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import qmc
 
 from .affine import AffineFunction, as_points, grid_points
 from .conventional import (
@@ -22,6 +21,7 @@ from .conventional import (
     check_continuity,
 )
 from .errors import (
+    ConstructionError,
     DcSizeError,
     DimensionMismatchError,
     DiscontinuousModelError,
@@ -261,7 +261,7 @@ def _verify_on_grid(model, candidate, pts, what):
         pts = pts[model.domain.contains_many(pts, tol=1e-9)]
     err = np.max(np.abs(candidate.values(pts) - model.values(pts)), initial=0.0)
     if err > 1e-9:
-        raise RuntimeError(f"{what} failed verification: max deviation {err:.3e}")
+        raise ConstructionError(f"{what} failed verification: max deviation {err:.3e}")
 
 
 def lattice_from_conventional(model, probe_density=33, box=None):
@@ -291,7 +291,7 @@ def lattice_from_conventional(model, probe_density=33, box=None):
         if not np.any(member):
             center, _ = chebyshev_center(model.regions[i], box=box)
             if center is None:
-                raise RuntimeError(f"region {i} has no feasible point inside the probe box")
+                raise ConstructionError(f"region {i} has no feasible point inside the probe box")
             vals_c = np.array([p.value(center) for p in model.pieces])
             dominated = vals_c >= vals_c[i]
         else:
@@ -329,7 +329,7 @@ def cplr_from_consistent(model):
     # a center only picks the side of each hyperplane its region lies on
     for i, (center, _) in enumerate(chebyshev_centers(model.regions, box=box)):
         if center is None:
-            raise RuntimeError(f"region {i} has no interior point for side probing")
+            raise ConstructionError(f"region {i} has no interior point for side probing")
         for k, (alpha, beta, _) in enumerate(planes):
             signs[i, k] = 1.0 if float(alpha @ center - beta) >= 0 else -1.0
 
@@ -395,6 +395,7 @@ def check_equivalence(a, b, box, grid_density=33, tolerance=1e-9, qmc_samples=51
     hi = np.atleast_1d(np.asarray(hi, dtype=float))
     pts = grid_points(lo, hi, grid_density)
     if qmc_samples > 0:
+        from scipy.stats import qmc
         sampler = qmc.Halton(d=a.dim, seed=11)
         extra = lo + sampler.random(qmc_samples) * (hi - lo)
         pts = np.vstack([pts, extra])
