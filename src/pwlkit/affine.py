@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .errors import DimensionMismatchError
@@ -42,6 +44,44 @@ def grid_points(lo, hi, density):
     hi = np.atleast_1d(np.asarray(hi, dtype=float))
     return mesh_points([np.linspace(lo[i], hi[i], int(density))
                         for i in range(lo.shape[0])])
+
+
+def halton(count, dim, seed):
+    """``count`` scrambled Halton points in ``[0, 1)^dim``.
+
+    Owen's randomized Halton sequence (arXiv:1706.02808), drawn bit for bit
+    as ``scipy.stats.qmc.Halton(d=dim, seed=seed).random(count)`` draws it:
+    axis j takes the j-th prime as base, each digit of the point's index has
+    its own shuffle of ``range(base)`` (one generator for all axes, shuffled
+    in order), and the shuffled digits are summed most significant first.
+    """
+    rng = np.random.default_rng(seed)
+    out = np.empty((count, dim))
+    bases = []
+    base = 2
+    while len(bases) < dim:
+        if all(base % p for p in bases):
+            bases.append(base)
+        base += 1
+    for j, base in enumerate(bases):
+        digits = math.ceil(54 / math.log2(base)) - 1    # until base**-k <= 2**-54
+        perms = rng.permuted(np.tile(np.arange(base), (digits, 1)), axis=1)
+        scales = [1.0 / base]
+        while len(scales) < digits:
+            scales.append(scales[-1] / base)
+        index = np.arange(count)
+        col = np.zeros(count)
+        live = 0    # the low index digits, the ones not 0 for every index
+        while base ** live < count:
+            index, digit = np.divmod(index, base)
+            col += perms[live, digit] * scales[live]
+            live += 1
+        # the higher digits are 0 for every index and add the same terms to
+        # every point; cumsum adds left to right, as the digit loop does
+        tail = perms[live:, 0] * scales[live:]
+        terms = np.column_stack([col, np.broadcast_to(tail, (count, tail.size))])
+        out[:, j] = np.cumsum(terms, axis=1, out=terms)[:, -1]
+    return out
 
 
 class AffineFunction:

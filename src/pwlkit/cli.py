@@ -27,7 +27,7 @@ from .errors import (
     ParseError,
     PwlError,
 )
-from .formats import load_model, save_model, write_text_atomic
+from .formats import TextChunks, load_model, save_model, write_text_atomic
 from .learning import (Dataset, FitConfig, csv_text, fit_ahh, fit_hh, fit_sbf,
                        read_csv_floats)
 from .models import CplrModel, HingeModel
@@ -302,22 +302,23 @@ def cmd_eval(args):
     if points.shape[0] and points.shape[1] != model.dim:
         raise CliError(EXIT_INPUT, f"points have dimension {points.shape[1]}, "
                                    f"model expects {model.dim}")
-    text = ""
+    blocks = ()
     if points.shape[0]:
         try:
             values = model.values(points)
         except PwlError as e:
             raise CliError(EXIT_INPUT, f"evaluation failed: {e}") from e
         if axes is None:
-            table = np.column_stack([points, values]).astype(float)
-            text = "".join(_csv_block(table[k:k + EVAL_BLOCK_ROWS])
-                           for k in range(0, table.shape[0], EVAL_BLOCK_ROWS))
+            table = np.column_stack([points, values]).astype(float, copy=False)
+            blocks = (_csv_block(table[k:k + EVAL_BLOCK_ROWS])
+                      for k in range(0, table.shape[0], EVAL_BLOCK_ROWS))
         else:
-            text = _grid_csv(axes, values)
+            blocks = _grid_csv(axes, values)
+    # each block is written as it is formatted, never the whole text at once
     if args.out:
-        write_text_atomic(args.out, text)
+        write_text_atomic(args.out, TextChunks(blocks))
     else:
-        sys.stdout.write(text)
+        sys.stdout.writelines(blocks)
     return EXIT_OK
 
 
@@ -333,18 +334,16 @@ def _csv_block(table):
 
 
 def _grid_csv(axes, values):
-    """CSV lines of values on the product of ``axes``: the bytes
+    """CSV blocks of values on the product of ``axes``: joined, the bytes
     ``_csv_block`` gives for the meshed points, with each axis's coordinates
     formatted once instead of once per point."""
     coords = itertools.product(*[[repr(v) for v in ax.tolist()] for ax in axes])
     values = np.asarray(values, dtype=float)
-    blocks = []
     for k in range(0, values.shape[0], EVAL_BLOCK_ROWS):
         block = values[k:k + EVAL_BLOCK_ROWS].tolist()
         rows = map(tuple.__add__, itertools.islice(coords, len(block)),
                    zip(map(repr, block)))
-        blocks.append("\n".join(map(",".join, rows)) + "\n")
-    return "".join(blocks)
+        yield "\n".join(map(",".join, rows)) + "\n"
 
 
 CONVERSIONS = ("lattice", "cplr", "dc", "ghh", "hh")

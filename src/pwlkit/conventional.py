@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .affine import as_points, as_vector
+from .affine import as_points, as_vector, halton
 from .errors import (
     CoverageGapError,
     DimensionMismatchError,
@@ -378,10 +378,7 @@ class Facet:
         if k == 1:
             offs = np.linspace(-reach, reach, count - 1)[:, None]
         else:
-            from scipy.stats import qmc
-            sampler = qmc.Halton(d=k, seed=7)
-            cube = sampler.random(count - 1)
-            offs = (2.0 * cube - 1.0) * reach / np.sqrt(k)
+            offs = (2.0 * halton(count - 1, k, seed=7) - 1.0) * reach / np.sqrt(k)
         for t in offs:
             pts.append(self.center + self.tangent @ t)
         return np.array(pts)

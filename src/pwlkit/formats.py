@@ -540,14 +540,43 @@ def load_model(path):
 
 
 def write_text_atomic(path, text):
+    """Write ``text`` to ``path`` through a temporary file beside it.
+
+    ``text`` is a str or an iterable of str chunks, each written as it comes,
+    so the whole text need never be held at once.
+    """
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", text=True)
     try:
         with os.fdopen(fd, "w") as fh:
-            fh.write(text)
+            if isinstance(text, str):
+                fh.write(text)
+            else:
+                fh.writelines(text)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
 
+
+class TextChunks:
+    """Text made chunk by chunk while it is written.
+
+    Iterating hands out the chunks once; ``len`` counts the characters
+    handed out so far, so once written it measures like the str it stands
+    for, to a caller that counts what ``write_text_atomic`` wrote by ``len``
+    of its argument.
+    """
+
+    def __init__(self, chunks):
+        self._chunks = chunks
+        self._size = 0
+
+    def __iter__(self):
+        for chunk in self._chunks:
+            self._size += len(chunk)
+            yield chunk
+
+    def __len__(self):
+        return self._size

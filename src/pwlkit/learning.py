@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import csv
 import io
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -32,6 +33,10 @@ SBF_SWEEPS = 2
 
 # Knot candidates: empirical quantiles 5%, 10%, ..., 95% of the support.
 AHH_KNOT_QUANTILES = tuple(q / 100.0 for q in range(5, 100, 5))
+
+# CSV rows converted per numpy call; larger chunks raise the peak memory of
+# a read without making it faster.
+CSV_CHUNK_ROWS = 256
 
 
 class Dataset:
@@ -86,6 +91,40 @@ def read_csv_floats(path, header="auto"):
     first row that is not all numbers).  A bad value, or a row whose length
     differs from the first data row, is a ValueError naming its row.
     """
+    try:
+        return _read_csv_chunks(path, header)
+    except ValueError:
+        # read again row by row, for the error at its row and column
+        return _read_csv_rows(path, header)
+
+
+def _read_csv_chunks(path, header):
+    """``read_csv_floats`` converting ``CSV_CHUNK_ROWS`` rows per numpy call;
+    any bad value or ragged row is a bare ValueError."""
+    blocks = []
+    with open(path, newline="") as fh:
+        records = filter(None, csv.reader(fh))
+        names = next(records, None) if header else None
+        if header == "auto" and names is not None:
+            try:
+                list(map(float, names))
+            except ValueError:
+                pass
+            else:
+                records, names = itertools.chain([names], records), None
+        width = None
+        while chunk := list(itertools.islice(records, CSV_CHUNK_ROWS)):
+            width = width or len(chunk[0])
+            if any(n != width for n in map(len, chunk)):
+                raise ValueError("rows of different lengths")
+            values = itertools.chain.from_iterable(chunk)
+            blocks.append(np.fromiter(map(float, values), float, width * len(chunk))
+                          .reshape(len(chunk), width))
+    return names, np.concatenate(blocks) if blocks else np.array([])
+
+
+def _read_csv_rows(path, header):
+    """``read_csv_floats`` one row at a time, naming the first bad row."""
     rows = []
     with open(path, newline="") as fh:
         reader = csv.reader(fh)

@@ -759,8 +759,10 @@ def _distinct_patterns(net, X):
     # the integer codes of a row as one opaque item: np.unique sorts these far
     # faster than along axis=0, with the same first index per distinct row.
     # The leading zero column keeps a row non-empty for a net without hidden
-    # units, whose rows then all share one pattern.
-    codes = np.concatenate([np.zeros((X.shape[0], 1), np.int64)] + per_layer, axis=1)
+    # units, whose rows then all share one pattern; as int8 it widens no
+    # layer's codes (int8 for the relu family), and the common dtype holds
+    # every code exactly, so equal rows are equal items.
+    codes = np.concatenate([np.zeros((X.shape[0], 1), np.int8)] + per_layer, axis=1)
     rows = codes.view(np.dtype((np.void, codes.itemsize * codes.shape[1])))[:, 0]
     first = np.sort(np.unique(rows, return_index=True)[1])
     return [(ActivationPattern(tuple(p[i] for p in per_layer)), X[i].copy())

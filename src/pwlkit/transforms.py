@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .affine import AffineFunction, as_points, grid_points
+from .affine import AffineFunction, as_points, grid_points, halton
 from .conventional import (
     ConventionalPWL,
     chebyshev_center,
@@ -395,9 +395,7 @@ def check_equivalence(a, b, box, grid_density=33, tolerance=1e-9, qmc_samples=51
     hi = np.atleast_1d(np.asarray(hi, dtype=float))
     pts = grid_points(lo, hi, grid_density)
     if qmc_samples > 0:
-        from scipy.stats import qmc
-        sampler = qmc.Halton(d=a.dim, seed=11)
-        extra = lo + sampler.random(qmc_samples) * (hi - lo)
+        extra = lo + halton(qmc_samples, a.dim, seed=11) * (hi - lo)
         pts = np.vstack([pts, extra])
     dev = np.abs(a.values(pts) - b.values(pts))
     k = int(np.argmax(dev))

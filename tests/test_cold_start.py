@@ -1,8 +1,9 @@
 """The CLI starts without scipy.
 
-Only the facet and box LPs, the null spaces and the Halton sweeps use scipy,
-and they import it where they are called.  Each test runs the CLI in a fresh
-interpreter, so modules loaded by other tests do not count.
+Only the facet and box LPs and the null spaces use scipy, and they import
+it where they are called; the Halton sweeps are drawn without it.  Each test
+runs the CLI in a fresh interpreter, so modules loaded by other tests do not
+count.
 """
 
 import json
@@ -98,8 +99,33 @@ def test_analysis_commands_load_scipy_when_called(files, capsys, tent_corrected,
     result = fresh(*argvs)
     assert result["codes"] == [0, 0, 0]
     assert "scipy.optimize" in result["scipy"]
-    assert "scipy.stats" in result["scipy"]
+    assert not [m for m in result["scipy"] if m.startswith("scipy.stats")]
 
     codes = [main([str(a) for a in argv]) for argv in argvs]
     assert codes == [0, 0, 0]
     assert result["stdout"] == capsys.readouterr().out
+
+
+def test_equiv_loads_no_scipy(files, capsys, plateau2d_nested, plateau2d_ghh,
+                              zigzag_cplr, tent_corrected):
+    d = files["dir"]
+    save_model(plateau2d_nested, d / "nested.txt")
+    save_model(plateau2d_ghh, d / "ghh.txt")
+    save_model(zigzag_cplr, d / "cplr.txt")
+    save_model(tent_corrected, d / "tent.txt")
+    argvs = [
+        ["equiv", "--model-a", d / "nested.txt", "--model-b", d / "ghh.txt",
+         "--box=0:1,0:1"],
+        ["equiv", "--model-a", d / "cplr.txt", "--model-b", d / "cplr.txt",
+         "--box=-3:3"],
+        ["equiv", "--model-a", d / "tent.txt", "--model-b", d / "tent.txt",
+         "--box=0:5"],
+    ]
+    result = fresh(*argvs)
+    assert result["codes"] == [0, 0, 0]
+    assert result["scipy"] == []
+
+    codes = [main([str(a) for a in argv]) for argv in argvs]
+    assert codes == [0, 0, 0]
+    assert result["stdout"] == capsys.readouterr().out
+    assert "sample-count: 1601" in result["stdout"]    # 33² grid + 512 Halton points

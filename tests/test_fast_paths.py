@@ -244,7 +244,7 @@ def test_grid_writer_matches_csv_block(spec):
     table = np.column_stack([points, values])
     want = "".join(_csv_block(table[k:k + EVAL_BLOCK_ROWS])
                    for k in range(0, table.shape[0], EVAL_BLOCK_ROWS))
-    assert _grid_csv(axes, values) == want
+    assert "".join(_grid_csv(axes, values)) == want
     assert want.count("\n") == points.shape[0]
     if spec.startswith("-1:1:0.01"):
         assert points.shape[0] > EVAL_BLOCK_ROWS

@@ -11,7 +11,7 @@ from pwlkit import (
     deserialize,
     serialize,
 )
-from pwlkit.formats import load_model, save_model
+from pwlkit.formats import TextChunks, load_model, save_model, write_text_atomic
 from pwlkit.network import init_params, network_from_sizes
 from pwlkit.transforms import dc_from_model
 
@@ -135,6 +135,25 @@ class TestStability:
         again = load_model(path)
         g = np.linspace(-3, 3, 50)
         assert np.array_equal(again.values(g), zigzag_cplr.values(g))
+
+    def test_text_written_from_chunks_is_the_joined_text(self, tmp_path):
+        chunks = ["x,y\n", "", "0.5,1e-300\n", "a,\r\n" * 3, "-0.0,nan"]
+        text = "".join(chunks)
+        write_text_atomic(tmp_path / "whole.txt", text)
+        for name, arg in (("list", list(chunks)), ("iter", iter(chunks))):
+            write_text_atomic(tmp_path / f"{name}.txt", arg)
+            assert (tmp_path / f"{name}.txt").read_bytes() == \
+                (tmp_path / "whole.txt").read_bytes()
+        counted = TextChunks(iter(chunks))
+        assert len(counted) == 0
+        write_text_atomic(tmp_path / "counted.txt", counted)
+        assert len(counted) == len(text)
+        assert (tmp_path / "counted.txt").read_bytes() == \
+            (tmp_path / "whole.txt").read_bytes()
+        write_text_atomic(tmp_path / "empty.txt", iter(()))
+        assert (tmp_path / "empty.txt").read_bytes() == b""
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "counted.txt", "empty.txt", "iter.txt", "list.txt", "whole.txt"]
 
 
 class TestParseErrors:

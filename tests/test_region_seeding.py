@@ -9,8 +9,11 @@ import pwlkit.network as network
 from pwlkit.affine import grid_points
 from pwlkit.network import (
     ENUMERATION_BUDGET,
+    ActivationPattern,
     PwlNetwork,
     RegionCertificate,
+    _distinct_patterns,
+    _hidden_codes,
     _patterns_of_batch,
     _pre_activation_maps,
     count_regions,
@@ -108,6 +111,30 @@ def test_certificates_match_per_point_reference(kind, config, sizes, method):
     want = reference_certificates(net, BOX, method, grid_density=density)
     assert result.count == len(want) > 1
     assert certificate_bytes(result.certificates) == certificate_bytes(want)
+
+
+def distinct_patterns_int64(net, X):
+    """``_distinct_patterns`` with every row widened to int64 before dedup."""
+    X, per_layer = _hidden_codes(net, X)
+    codes = np.concatenate([np.zeros((X.shape[0], 1), np.int64)] + per_layer, axis=1)
+    rows = codes.view(np.dtype((np.void, codes.itemsize * codes.shape[1])))[:, 0]
+    first = np.sort(np.unique(rows, return_index=True)[1])
+    return [(ActivationPattern(tuple(p[i] for p in per_layer)), X[i].copy())
+            for i in first]
+
+
+@pytest.mark.parametrize("sizes", SIZES, ids=lambda s: "-".join(map(str, s)))
+@pytest.mark.parametrize("kind,config", KINDS, ids=[k for k, _ in KINDS])
+def test_narrow_pattern_rows_keep_first_indices(kind, config, sizes):
+    net = perturbed_net(kind, config, sizes)
+    X = grid_points(*BOX, GRID_DENSITY)
+    got = _distinct_patterns(net, X)
+    want = distinct_patterns_int64(net, X)
+    assert len(got) == len(want) > 1
+    for (pat, x), (want_pat, want_x) in zip(got, want):
+        assert x.tobytes() == want_x.tobytes()
+        assert [(c.dtype, c.tobytes()) for c in pat.codes] == \
+            [(c.dtype, c.tobytes()) for c in want_pat.codes]
 
 
 # ---------------------------------------------------------------------------
