@@ -699,18 +699,20 @@ def fit_ahh(data, cfg=None):
 
     bases: list[AhhBasis] = []
     tree: list[AhhTreeNode] = []
-    theta, sse = _ahh_refit(Xt, yt, bases, cfg.ridge)
+    # the design matrices on the train and validation rows: intercept, then
+    # one column per basis, each basis evaluated once
+    B, Bv = _ahh_columns(Xt, bases), _ahh_columns(Xv, bases)
+    theta, sse = _refit_columns(B, yt, cfg.ridge)
 
-    def val_sse_of(bs, th, train_sse):
-        return _validation_sse(lambda Z: _ahh_columns(Z, bs) @ th, Xv, yv, train_sse)
+    def val_sse_of(Cv, th, train_sse):
+        return _validation_sse(lambda _: Cv @ th, Xv, yv, train_sse)
 
-    trace.add(0, sse, val_sse_of(bases, theta, sse), "intercept")
+    trace.add(0, sse, val_sse_of(Bv, theta, sse), "intercept")
 
     # a parent's support never changes while bases only grow, so its knots
     # are found once: (parent, v) -> knots, or None for a zero-span support
     knots_of = {}
     while len(bases) + 2 <= cfg.max_terms:
-        B = _ahh_columns(Xt, bases)
         basis_cols = B[:, 1:]
         best = None   # (sse, parent, v, knot)
         for parent in range(-1, len(bases)):
@@ -736,33 +738,34 @@ def fit_ahh(data, cfg=None):
                 if np.isfinite(scan[i]) and (best is None or scan[i] < best[0] - 1e-15):
                     best = (float(scan[i]), parent, v, float(knots[i]))
         if best is None or best[0] > sse - cfg.tolerance:
-            trace.add(len(bases), sse, val_sse_of(bases, theta, sse), "stop-no-progress")
+            trace.add(len(bases), sse, val_sse_of(Bv, theta, sse), "stop-no-progress")
             break
         _, parent, v, knot = best
         parent_factors = () if parent < 0 else bases[parent].factors
         pair = [AhhBasis(parent_factors + ((+1, v, knot),)),
                 AhhBasis(parent_factors + ((-1, v, knot),))]
-        th, s = _ahh_refit(Xt, yt, bases + pair, cfg.ridge)
+        C = np.column_stack([B] + [b.values(Xt) for b in pair])
+        th, s = _refit_columns(C, yt, cfg.ridge)
         if s > sse - cfg.tolerance:
-            trace.add(len(bases), sse, val_sse_of(bases, theta, sse), "stop-no-progress")
+            trace.add(len(bases), sse, val_sse_of(Bv, theta, sse), "stop-no-progress")
             break
         for delta, child in zip((+1, -1), pair):
             bases.append(child)
             tree.append(AhhTreeNode(child.factors,
                                     parent_factors if parent >= 0 else None,
                                     delta, v, knot))
+        B, Bv = C, np.column_stack([Bv] + [b.values(Xv) for b in pair])
         theta, sse = th, s
-        trace.add(len(bases), sse, val_sse_of(bases, theta, sse), "add-pair")
+        trace.add(len(bases), sse, val_sse_of(Bv, theta, sse), "add-pair")
 
     # backward pruning on validation error; each drop-one trial deletes a
-    # column from the round's design matrices instead of re-evaluating bases
-    current_val = val_sse_of(bases, theta, sse)
+    # column from the design matrices instead of re-evaluating bases
+    current_val = val_sse_of(Bv, theta, sse)
     while bases:
         best = None   # (val_sse, index, theta, train_sse)
-        C, Cv = _ahh_columns(Xt, bases), _ahh_columns(Xv, bases)
         for k in range(len(bases)):
-            th, s = _refit_columns(np.delete(C, k + 1, axis=1), yt, cfg.ridge)
-            vs = _validation_sse(lambda _: np.delete(Cv, k + 1, axis=1) @ th,
+            th, s = _refit_columns(np.delete(B, k + 1, axis=1), yt, cfg.ridge)
+            vs = _validation_sse(lambda _: np.delete(Bv, k + 1, axis=1) @ th,
                                  Xv, yv, s)
             if best is None or vs < best[0]:
                 best = (vs, k, th, s)
@@ -770,6 +773,7 @@ def fit_ahh(data, cfg=None):
             break
         current_val, k, theta, sse = best[0], best[1], best[2], best[3]
         removed = bases.pop(k)
+        B, Bv = np.delete(B, k + 1, axis=1), np.delete(Bv, k + 1, axis=1)
         for node in tree:
             if node.factors == removed.factors and not node.pruned:
                 node.pruned = True
@@ -785,20 +789,14 @@ def fit_ahh(data, cfg=None):
 # Simplex tent fitting
 # ---------------------------------------------------------------------------
 
-def _sbf_column(X, gamma, zeta):
-    return np.maximum(1.0 - np.abs(X - zeta) @ gamma, 0.0)
+def _sbf_column(A, gamma):
+    """One tent's column from ``A = |X - zeta|``, its center's offsets."""
+    return np.maximum(1.0 - A @ gamma, 0.0)
 
 
-def _sbf_columns(X, bases):
-    if not bases:
-        return np.empty((X.shape[0], 0))
-    return np.column_stack([_sbf_column(X, g, z) for g, z in bases])
-
-
-def _sbf_refit(X, y, bases, ridge):
-    if not bases:
+def _sbf_refit(C, y, ridge):
+    if not C.shape[1]:
         return np.empty(0), float(np.sum(y ** 2))
-    C = _sbf_columns(X, bases)
     theta = least_squares(C, y, ridge)
     return theta, float(np.sum((C @ theta - y) ** 2))
 
@@ -815,41 +813,45 @@ def fit_sbf(data, cfg=None):
     n = data.dim
 
     bases = []   # (gamma, zeta)
-    theta, sse = _sbf_refit(Xt, yt, bases, cfg.ridge)
+    # the accepted tents' columns on the train and validation rows
+    B, Bv = np.empty((Xt.shape[0], 0)), np.empty((Xv.shape[0], 0))
+    theta, sse = _sbf_refit(B, yt, cfg.ridge)
 
-    def val_sse_of(bs, th, train_sse):
-        return _validation_sse(lambda Z: _sbf_columns(Z, bs) @ th, Xv, yv, train_sse)
+    def val_sse_of(Cv, th, train_sse):
+        return _validation_sse(lambda _: Cv @ th, Xv, yv, train_sse)
 
-    trace.add(0, sse, val_sse_of(bases, theta, sse), "empty")
+    trace.add(0, sse, val_sse_of(Bv, theta, sse), "empty")
 
     for _ in range(cfg.max_terms):
-        residual = yt - _sbf_columns(Xt, bases) @ theta
-        peak = float(np.max(np.abs(residual)))
+        abs_residual = np.abs(yt - B @ theta)
+        peak = float(np.max(abs_residual))
         if peak <= 1e-12:
-            trace.add(len(bases), sse, val_sse_of(bases, theta, sse), "stop-perfect")
+            trace.add(len(bases), sse, val_sse_of(Bv, theta, sse), "stop-perfect")
             break
-        zeta = Xt[int(np.argmax(np.abs(residual)))].copy()
+        zeta = Xt[int(np.argmax(abs_residual))].copy()
         gamma = np.ones(n)
-        B = _sbf_columns(Xt, bases)
+        A = np.abs(Xt - zeta)
         for _sweep in range(SBF_SWEEPS):
             for i in range(n):
                 cols = []
                 for g in SBF_GAMMA_GRID:
                     trial_gamma = gamma.copy()
                     trial_gamma[i] = g
-                    cols.append(_sbf_column(Xt, trial_gamma, zeta))
+                    cols.append(_sbf_column(A, trial_gamma))
                 blocks = np.stack(cols, axis=1)[:, :, None]
                 scan = _scan_candidate_blocks(B, yt, blocks, cfg.ridge)
                 j = int(np.argmin(scan))
                 if np.isfinite(scan[j]):
                     gamma[i] = SBF_GAMMA_GRID[j]
-        new_bases = bases + [(gamma, zeta)]
-        new_theta, new_sse = _sbf_refit(Xt, yt, new_bases, cfg.ridge)
+        C = np.column_stack([B, _sbf_column(A, gamma)])
+        new_theta, new_sse = _sbf_refit(C, yt, cfg.ridge)
         if new_sse > sse - cfg.tolerance:
-            trace.add(len(bases), sse, val_sse_of(bases, theta, sse), "stop-no-progress")
+            trace.add(len(bases), sse, val_sse_of(Bv, theta, sse), "stop-no-progress")
             break
-        bases, theta, sse = new_bases, new_theta, new_sse
-        trace.add(len(bases), sse, val_sse_of(bases, theta, sse), "add-tent")
+        bases.append((gamma, zeta))
+        B, Bv = C, np.column_stack([Bv, _sbf_column(np.abs(Xv - zeta), gamma)])
+        theta, sse = new_theta, new_sse
+        trace.add(len(bases), sse, val_sse_of(Bv, theta, sse), "add-tent")
 
     model = SbfModel(n, [(float(theta[k]), g, z) for k, (g, z) in enumerate(bases)])
     return model, trace

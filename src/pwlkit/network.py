@@ -94,14 +94,22 @@ class Activation:
         return {}
 
 
+def _on(p):
+    """The on-branch mask of a 0/1 code; a view, not a copy, of int8 codes."""
+    return p.view(bool) if p.dtype == np.int8 else p == 1
+
+
 class Relu(Activation):
     kind = "relu"
 
     def pattern(self, z):
-        return (z >= 0).astype(np.int8)
+        return (z >= 0).view(np.int8)
 
     def apply(self, z, p):
         return z * p
+
+    def backprop(self, z, p, upstream):
+        return upstream * p
 
     def affine_view(self, p):
         return p.astype(float), np.zeros(p.shape[-1])
@@ -118,10 +126,17 @@ class LeakyRelu(Activation):
         self.lam = float(lam)
 
     def pattern(self, z):
-        return (z >= 0).astype(np.int8)
+        return (z >= 0).view(np.int8)
 
     def apply(self, z, p):
-        return np.where(p == 1, z, self.lam * z)
+        out = self.lam * z
+        np.putmask(out, _on(p), z)
+        return out
+
+    def backprop(self, z, p, upstream):
+        g = upstream * self.lam
+        np.putmask(g, _on(p), upstream)
+        return g
 
     def affine_view(self, p):
         return np.where(p == 1, 1.0, self.lam), np.zeros(p.shape[-1])
@@ -317,13 +332,26 @@ class Maxout(Activation):
         return z.reshape(z.shape[0], self.width, self.k)
 
     def pattern(self, z):
-        return np.argmax(self._grouped(z), axis=2)
+        """``np.argmax`` over each unit's k slots as a left-to-right chain of
+        comparisons, far faster on short groups: the lowest slot wins a tie
+        and the first NaN wins, as in ``np.argmax``."""
+        g = self._grouped(z)
+        top = g[:, :, 0]
+        code = np.zeros(top.shape, dtype=np.intp)
+        for j in range(1, self.k):
+            v = g[:, :, j]
+            take = ~(v <= top) & (top == top)     # greater, or a NaN after none
+            code = take.astype(np.intp) if j == 1 else np.where(take, j, code)
+            if j + 1 < self.k:
+                top = np.where(take, v, top)
+        return code
 
     def _slots(self, p):
         """Flat index ``p + unit·k + row·width·k`` of each unit's chosen slot in
         an ``(N, width * k)`` array."""
-        starts = np.arange(0, p.shape[0] * self.width * self.k, self.k)
-        return starts.reshape(p.shape) + p
+        slots = np.arange(0, p.shape[0] * self.width * self.k, self.k).reshape(p.shape)
+        slots += p
+        return slots
 
     def apply(self, z, p):
         return np.take(z, self._slots(p))
@@ -442,8 +470,7 @@ class PwlNetwork:
         return [p.copy() for p in self.parameters()]
 
     def restore(self, snap):
-        for p, s in zip(self.parameters(), snap):
-            p[...] = s
+        _restore(self.parameters(), snap)
 
     def forward_batch(self, X, want_cache=False):
         X = np.atleast_2d(np.asarray(X, dtype=float))
@@ -473,19 +500,40 @@ class PwlNetwork:
         return out[:, 0]
 
 
-def _bound_layers(net):
-    """Per layer ``(W, W.T, b, activation)``.  The arrays are the parameters
-    themselves, so in-place updates show through a binding kept across steps."""
-    return [(l.weight, l.weight.T, l.bias, l.activation) for l in net.layers]
+def _bound_layers(net, grads=None):
+    """Per layer ``(W, W.T, b, activation, dW, db)``.  The arrays are the
+    parameters themselves, so in-place updates show through a binding kept
+    across steps; ``grads`` holds per layer the ``(dW, db)`` arrays that
+    ``_loss_and_grads`` writes (None for a forward-only binding)."""
+    grads = grads or [(None, None)] * len(net.layers)
+    return [(l.weight, l.weight.T, l.bias, l.activation, dW, db)
+            for l, (dW, db) in zip(net.layers, grads)]
 
 
-def _forward(bound, X):
+def _flat(layers):
+    """One flat float64 buffer and, per layer, ``(weight, bias)``-shaped views
+    of it, laid out layer by layer, the weight before the bias."""
+    buf = np.empty(sum(l.weight.size + l.bias.size for l in layers))
+    views, start = [], 0
+    for l in layers:
+        mid = start + l.weight.size
+        end = mid + l.bias.size
+        views.append((buf[start:mid].reshape(l.weight.shape), buf[mid:end]))
+        start = end
+    return buf, views
+
+
+def _forward(bound, X, zs=None):
     """Forward pass over bound layers: the output and, per layer, the
-    ``(input, pre-activation, pattern)`` cache that gradients need."""
+    ``(input, pre-activation, pattern)`` cache that gradients need.
+
+    ``zs``, if given, holds per layer an array that receives its
+    pre-activations, so a pass repeated on the same rows allocates no new
+    pre-activation arrays."""
     a = X
     cache = []
-    for _W, WT, b, act in bound:
-        z = np.matmul(a, WT)
+    for i, (_W, WT, b, act, _dW, _db) in enumerate(bound):
+        z = np.matmul(a, WT) if zs is None else np.matmul(a, WT, out=zs[i])
         z += b
         if act is None:
             out, pattern = z, None
@@ -540,34 +588,42 @@ def init_params(net, scheme="scaled-normal", seed=0):
 def _loss_and_grads(bound, X, Y):
     """Mean-squared-error loss and gradients on one ``(B, n)``/``(B, out)`` batch.
 
-    Finiteness is tested once, on the sum of every pre-activation and the
-    loss; only when that sum is not finite are the layers scanned in order,
-    so the error names the first non-finite layer (the output layer for a
-    non-finite loss), and a sum that merely overflowed passes.
+    Each layer's weight and bias gradients are written into its bound
+    ``(dW, db)``; returns the loss and, per layer, the activation's parameter
+    gradients (a list, empty for none).
+
+    Finiteness is tested once, on the sum of every hidden pre-activation and
+    the loss (a non-finite output, the affine output layer's pre-activation,
+    makes the loss non-finite); only when that sum is not finite are the
+    layers scanned in order, so the error names the first non-finite layer
+    (the output layer for a non-finite loss), and a sum that merely
+    overflowed passes.
     """
     out, cache = _forward(bound, X)
     diff = out - Y
     loss = float(np.add.reduce(np.add.reduce(diff * diff, axis=1)) / X.shape[0])
-    if not isfinite(loss + sum(float(z.sum()) for _, z, _ in cache)):
+    if not isfinite(loss + sum(float(np.add.reduce(z, None)) for _, z, _ in cache[:-1])):
         for idx, (_, z, _) in enumerate(cache):
             if not np.all(np.isfinite(z)):
                 raise NonFiniteLossError(idx)
         if not isfinite(loss):
             raise NonFiniteLossError(len(cache) - 1)
 
-    grads = []
+    act_grads = [[]] * len(bound)
     upstream = 2.0 * diff / X.shape[0]      # d loss / d output
-    for (W, _, _, act), (a_in, z, pattern) in zip(reversed(bound), reversed(cache)):
+    for i in range(len(bound) - 1, -1, -1):
+        W, _, _, act, dW, db = bound[i]
+        a_in, z, pattern = cache[i]
         if act is None:
             dz = upstream
         else:
-            grads.extend(reversed(act.param_grads(z, pattern, upstream)))
+            act_grads[i] = act.param_grads(z, pattern, upstream)
             dz = act.backprop(z, pattern, upstream)
-        grads.append(np.add.reduce(dz, axis=0))
-        grads.append(np.matmul(dz.T, a_in))
-        upstream = np.matmul(dz, W)
-    grads.reverse()
-    return loss, grads
+        np.add.reduce(dz, axis=0, out=db)
+        np.matmul(dz.T, a_in, out=dW)
+        if i:       # the first layer's input gradient is never read
+            upstream = np.matmul(dz, W)
+    return loss, act_grads
 
 
 def backward_batch(net, X, y):
@@ -583,7 +639,9 @@ def backward_batch(net, X, y):
     y = np.asarray(y, dtype=float)
     if y.ndim == 1:
         y = y[:, None]
-    return _loss_and_grads(_bound_layers(net), X, y)
+    _, views = _flat(net.layers)
+    loss, act_grads = _loss_and_grads(_bound_layers(net, views), X, y)
+    return loss, [g for (dW, db), ag in zip(views, act_grads) for g in (dW, db, *ag)]
 
 
 def backward(net, x, y):
@@ -641,36 +699,70 @@ DIVERGENCE_LIMIT = 1e12
 def train_sgd(net, data, cfg):
     """Seeded mini-batch SGD; aborts to the last finite state on divergence.
 
-    Returns the trained net and the per-epoch mean-loss curve.
+    Returns the trained net and the per-epoch mean-loss curve.  The layers'
+    weights and biases train as views of one flat vector, updated in one
+    ``theta -= lr * G`` per step, which is the per-array update ``p -= lr * g``
+    element by element; they are copied back into the net's own arrays at
+    the end.  Learnable activation arrays are updated in place.
     """
     rng = np.random.default_rng(cfg.seed)
     X, y = data.inputs, data.targets
     if X.shape[1] != net.in_dim:
         raise DimensionMismatchError(net.in_dim, X.shape[1], what="input")
+    if net.out_dim != 1:
+        raise DimensionMismatchError(1, net.out_dim, what="output")
     Y = y[:, None]
-    bound = _bound_layers(net)
-    params = net.parameters()
+    layers = net.layers
+    theta, params = _flat(layers)
+    G, grads = _flat(layers)
+    T = np.empty_like(theta)
+    for l, (W, b) in zip(layers, params):
+        W[...] = l.weight
+        b[...] = l.bias
+    bound = [(W, W.T, b, l.activation, dW, db)
+             for l, (W, b), (dW, db) in zip(layers, params, grads)]
+    # the arrays a divergence restores: theta and the learnable activation arrays
+    state = [theta] + [a for l in layers if l.activation for a in l.activation.param_arrays()]
+    # each epoch's shuffled rows and the epoch loss's pre-activations reuse
+    # these arrays, so no epoch allocates data-sized arrays for them afresh
+    Xp, Yp = np.empty(X.shape), np.empty(Y.shape)
+    zs = [np.empty((data.size, W.shape[0])) for W, _ in params]
     lr = cfg.learning_rate
     curve = []
-    good = net.snapshot()
-    for _epoch in range(cfg.epochs):
-        perm = rng.permutation(data.size)
-        for start in range(0, data.size, cfg.batch_size):
-            idx = perm[start:start + cfg.batch_size]
-            try:
-                _, grads = _loss_and_grads(bound, X[idx], Y[idx])
-            except NonFiniteLossError:
-                net.restore(good)
+    good = [a.copy() for a in state]
+    try:
+        for _epoch in range(cfg.epochs):
+            perm = rng.permutation(data.size)
+            np.take(X, perm, axis=0, out=Xp)
+            np.take(Y, perm, axis=0, out=Yp)
+            for start in range(0, data.size, cfg.batch_size):
+                stop = start + cfg.batch_size
+                try:
+                    _, act_grads = _loss_and_grads(bound, Xp[start:stop], Yp[start:stop])
+                except NonFiniteLossError:
+                    _restore(state, good)
+                    return net, np.array(curve)
+                np.multiply(G, lr, out=T)
+                theta -= T
+                for p, g in zip(state[1:], (g for ag in act_grads for g in ag)):
+                    p -= lr * g
+            epoch_loss = float(np.mean((_forward(bound, X, zs)[0][:, 0] - y) ** 2))
+            if not np.isfinite(epoch_loss) or epoch_loss > DIVERGENCE_LIMIT:
+                _restore(state, good)
                 return net, np.array(curve)
-            for p, g in zip(params, grads):
-                p -= lr * g
-        epoch_loss = float(np.mean((net.forward_batch(X)[:, 0] - y) ** 2))
-        if not np.isfinite(epoch_loss) or epoch_loss > DIVERGENCE_LIMIT:
-            net.restore(good)
-            return net, np.array(curve)
-        good = net.snapshot()
-        curve.append(epoch_loss)
-    return net, np.array(curve)
+            good = [a.copy() for a in state]
+            curve.append(epoch_loss)
+        return net, np.array(curve)
+    finally:
+        for l, (W, b) in zip(layers, params):
+            l.weight[...] = W
+            l.bias[...] = b
+
+
+def _restore(arrays, snapshot):
+    """Copy a snapshot back into the arrays it was taken from."""
+    for a, s in zip(arrays, snapshot):
+        a[...] = s
 
 
 # ---------------------------------------------------------------------------
