@@ -21,6 +21,7 @@ from .conventional import ConventionalPWL, check_consistent_variation, check_con
 from .errors import (
     BudgetExceededError,
     ConstructionError,
+    CoverageGapError,
     DcSizeError,
     DiscontinuousModelError,
     NotCplrRepresentableError,
@@ -382,20 +383,20 @@ def cmd_convert(args):
             if not isinstance(model, CplrModel):
                 raise _unsupported("hinge conversion needs a canonical model")
             target = HingeModel.from_cplr(model)
+        if box is None and isinstance(model, ConventionalPWL) and model.domain is not None:
+            box = model.domain_box()
+        elif box is None:
+            box = (np.full(model.dim, -1.0), np.full(model.dim, 1.0))
+        report = check_equivalence(model, target, box, grid_density=args.density,
+                                   tolerance=args.tolerance)
     except NotCplrRepresentableError as e:
         raise CliError(EXIT_NOT_REPRESENTABLE, "not representable; certificate "
                        f"hyperplane: {e.certificate}") from e
-    except (DiscontinuousModelError, ValueError) as e:
+    except (CoverageGapError, DiscontinuousModelError, ValueError) as e:
         raise CliError(EXIT_INPUT, f"conversion failed: {e}") from e
     except ConstructionError as e:
         raise CliError(EXIT_VIOLATIONS, f"conversion failed: {e}") from e
 
-    if box is None and isinstance(model, ConventionalPWL) and model.domain is not None:
-        box = model.domain_box()
-    elif box is None:
-        box = (np.full(model.dim, -1.0), np.full(model.dim, 1.0))
-    report = check_equivalence(model, target, box, grid_density=args.density,
-                               tolerance=args.tolerance)
     save_model(target, args.out)
     _summary([
         ("from", type(model).__name__),

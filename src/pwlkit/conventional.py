@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .affine import as_points, as_vector, halton
+from .affine import as_points, as_vector
 from .errors import (
     CoverageGapError,
     DimensionMismatchError,
@@ -43,8 +43,11 @@ class Halfspace:
 
     def __init__(self, normal, offset, closed=True):
         self.normal = as_vector(normal, "normal")
-        if not np.any(self.normal):
-            raise ValueError("halfspace normal must not be the zero vector")
+        with np.errstate(over="ignore"):
+            norm = float(np.linalg.norm(self.normal))
+        if not 0.0 < norm < np.inf:
+            raise ValueError(f"halfspace normal must have a finite, nonzero length "
+                             f"(got {norm!r})")
         self.offset = float(offset)
         self.closed = bool(closed)
 
@@ -219,23 +222,24 @@ def bounding_box(region):
     return lo, hi
 
 
+def _inscribed_ball_lp(A, c):
+    """The LP block of the largest ball in ``A y >= c``: variables ``(y, r)``,
+    maximise ``r`` subject to ``A_k . y - r ||A_k|| >= c_k``."""
+    k = A.shape[1]
+    obj = np.zeros(k + 1)
+    obj[-1] = -1.0
+    A_ub = np.concatenate([-A, np.linalg.norm(A, axis=1)[:, None]], axis=1)
+    return obj, A_ub, -c, [(None, None)] * (k + 1)
+
+
 def _chebyshev_lp(region, box=None):
-    """The LP block of ``chebyshev_center``: variables ``(x, r)``, maximise
-    ``r``."""
+    """The LP block of ``chebyshev_center``: the region's rows, then the
+    ``hi`` walls, then the ``lo`` walls."""
     n = region.dim
     A, c = region.matrix_form()
-    norms = np.linalg.norm(A, axis=1)
     lo, hi = _default_box(n) if box is None else box
-    rows = [np.concatenate([-A, norms[:, None]], axis=1)]
-    rhs = [-c]
     eye = np.eye(n)
-    rows.append(np.concatenate([eye, np.ones((n, 1))], axis=1))
-    rhs.append(hi)
-    rows.append(np.concatenate([-eye, np.ones((n, 1))], axis=1))
-    rhs.append(-lo)
-    obj = np.zeros(n + 1)
-    obj[-1] = -1.0
-    return obj, np.vstack(rows), np.concatenate(rhs), [(None, None)] * (n + 1)
+    return _inscribed_ball_lp(np.vstack([A, -eye, eye]), np.concatenate([c, -hi, lo]))
 
 
 def chebyshev_centers(regions, box=None):
@@ -352,7 +356,7 @@ class ConventionalPWL(PwlModel):
 
 
 # ---------------------------------------------------------------------------
-# Facet detection and sampling
+# Facet detection
 # ---------------------------------------------------------------------------
 
 @dataclass
@@ -366,22 +370,6 @@ class Facet:
     side_i: float               # +1 if region i lies on alpha.x >= beta
     center: np.ndarray          # relative-interior point of the facet
     radius: float               # inscribed radius within the facet
-    tangent: np.ndarray         # (n, n-1) orthonormal basis of the hyperplane
-
-    def sample_points(self, count):
-        """Deterministic points in the facet's relative interior."""
-        pts = [self.center]
-        k = self.tangent.shape[1]
-        if k == 0 or count <= 1 or self.radius <= 0:
-            return np.array(pts)
-        reach = 0.8 * self.radius
-        if k == 1:
-            offs = np.linspace(-reach, reach, count - 1)[:, None]
-        else:
-            offs = (2.0 * halton(count - 1, k, seed=7) - 1.0) * reach / np.sqrt(k)
-        for t in offs:
-            pts.append(self.center + self.tangent @ t)
-        return np.array(pts)
 
 
 def hyperplane_key(alpha, beta):
@@ -390,8 +378,9 @@ def hyperplane_key(alpha, beta):
 
 
 def _facet_lp(alpha, beta, joint, box):
-    """The LP of ``_facet_interior``, posed in tangent coordinates ``(t, r)``
-    of the hyperplane ``alpha . x = beta``.
+    """The LP of a facet's center and radius within the hyperplane
+    ``alpha . x = beta`` where the closures in ``joint`` meet, posed in
+    tangent coordinates ``(t, r)``.
 
     Returns ``(x0, N, block)``: ``x0`` is the hyperplane's point nearest the
     origin and ``N`` its orthonormal tangent basis.  ``block`` is None when
@@ -410,58 +399,38 @@ def _facet_lp(alpha, beta, joint, box):
     if N.shape[1] == 0:
         margins = A @ x0 - c
         return (x0 if np.all(margins >= -FEASIBILITY_TOL) else None), N, None
-    # constraints in tangent coordinates: (A N) t >= c - A x0, margin-scaled
+    # constraints in tangent coordinates: (A N) t >= c - A x0
     At = A @ N
     ct = c - A @ x0
-    scale = np.linalg.norm(At, axis=1)
-    flat = scale <= 1e-12
+    flat = np.linalg.norm(At, axis=1) <= 1e-12
     if np.any(ct[flat] > FEASIBILITY_TOL):
         return None, N, None
-    At, ct, scale = At[~flat], ct[~flat], scale[~flat]
-    k = N.shape[1]
-    A_ub = np.concatenate([-At, scale[:, None]], axis=1)
-    obj = np.zeros(k + 1)
-    obj[-1] = -1.0
-    return x0, N, (obj, A_ub, -ct, [(None, None)] * (k + 1))
+    return x0, N, _inscribed_ball_lp(At[~flat], ct[~flat])
 
 
 def _facet_interiors(queries, box):
-    """``_facet_interior`` of each ``(alpha, beta, joint)`` query, bit for
-    bit.
+    """``(center, radius)`` of the facet of each ``(alpha, beta, joint)``
+    query, or ``(None, -inf)`` where the closures do not meet on an
+    (n-1)-dimensional set.
 
-    The LPs in two variables, ``(t, r)`` for the segment facets of a 2-D
-    model, are solved together: on random 2-D arrangements and
-    triangulations (over 15,000 such LPs) HiGHS gave each the same bits
-    jointly as alone.  Larger ones are solved one at a time, because a
-    joint solve moved about 2% of 3-D facet centers by an ulp or so.
+    The LPs are solved together.  Where a facet's deepest point is not
+    unique, the joint solve can return another one than a lone solve; only
+    the radius, the optimal value, decides whether the facet exists.
     """
     posed = [_facet_lp(alpha, beta, joint, box) for alpha, beta, joint in queries]
-    joint = iter(solve_lp_blocks([block for _, N, block in posed
-                                  if block is not None and N.shape[1] == 1]))
-    alone = iter(_solve_alone([block for _, N, block in posed
-                               if block is not None and N.shape[1] > 1]))
+    solved = iter(solve_lp_blocks([block for _, _, block in posed if block is not None]))
     out = []
     for x0, N, block in posed:
         if block is None:
-            out.append((None, -np.inf, None) if x0 is None else (x0, 0.0, N))
+            out.append((None, -np.inf) if x0 is None else (x0, 0.0))
             continue
         k = N.shape[1]
-        status, x = next(joint if k == 1 else alone)
+        status, x = next(solved)
         if status != 0 or float(x[k]) < FEASIBILITY_TOL:
-            out.append((None, -np.inf, None))
+            out.append((None, -np.inf))
         else:
-            out.append((x0 + N @ x[:k], float(x[k]), N))
+            out.append((x0 + N @ x[:k], float(x[k])))
     return out
-
-
-def _facet_interior(alpha, beta, joint, box):
-    """Chebyshev center restricted to the hyperplane ``alpha . x = beta``.
-
-    ``joint`` holds the constraints of both regions' closures.  Returns
-    ``(center, radius, tangent_basis)`` or ``(None, -inf, None)`` when the
-    closures do not meet on an (n-1)-dimensional set.
-    """
-    return _facet_interiors([(alpha, beta, joint)], box)[0]
 
 
 def find_facets(model):
@@ -479,7 +448,7 @@ def find_facets(model):
     canonical hyperplanes are formed once, and its Chebyshev center is
     solved at most once, per call.  The LPs are solved together, one
     problem per phase: the tight probes, then the centers that orient the
-    probed hyperplanes, then the facet LPs (see ``_facet_interiors``).
+    probed hyperplanes, then the facet LPs.
     """
     box = model.domain_box()
     regions = model.regions
@@ -509,10 +478,9 @@ def find_facets(model):
     facets = []
     for i, j, _, candidates in pairs:
         for alpha, beta, side_i in candidates.values():
-            center, radius, N = next(interiors)
+            center, radius = next(interiors)
             if center is not None:
-                facets.append(Facet(i, j, alpha, float(beta), side_i,
-                                    center, radius, N))
+                facets.append(Facet(i, j, alpha, float(beta), side_i, center, radius))
     return facets
 
 
@@ -586,23 +554,42 @@ class ContinuityReport:
 
 
 def check_continuity(model):
-    """Compare adjacent pieces on five sampled points of every facet.
+    """Compare adjacent pieces where they differ most on every facet.
 
-    Two pieces must agree on their shared facet to a 1e-9 relative
-    tolerance; every disagreement is reported with a witness point.
+    The difference of two pieces is affine along their shared facet, so on
+    the disc of radius ``0.8 * radius`` about the facet's center it is
+    largest on the rim, in the direction of the Jacobian jump's component
+    within the hyperplane, on the side where the gap at the center grows.
+    The pieces are compared there, or at the center when the jump is
+    parallel to the normal (see ``_split_jump``).  They must agree to a 1e-9
+    relative tolerance; a facet where they do not is reported once, with
+    that point as witness.
     """
     report = ContinuityReport(facets=find_facets(model))
     for f in report.facets:
-        pts = f.sample_points(5)
-        vi = model.pieces[f.i].values(pts)
-        vj = model.pieces[f.j].values(pts)
-        scale = np.maximum(1.0, np.maximum(np.abs(vi), np.abs(vj)))
-        bad = np.abs(vi - vj) > CONTINUITY_RTOL * scale
-        for k in np.nonzero(bad)[0]:
-            report.violations.append(
-                ContinuityViolation(f.i, f.j, pts[k], float(vi[k]), float(vj[k]))
-            )
+        pi, pj = model.pieces[f.i], model.pieces[f.j]
+        point = f.center
+        _, along, parallel = _split_jump(f.alpha, pi.jacobian - pj.jacobian)
+        if not parallel:
+            reach = 0.8 * f.radius / float(np.linalg.norm(along))
+            gap = pi.values(point[None])[0] - pj.values(point[None])[0]
+            point = point + (reach if gap >= 0 else -reach) * along
+        vi = float(pi.values(point[None])[0])
+        vj = float(pj.values(point[None])[0])
+        if abs(vi - vj) > CONTINUITY_RTOL * max(1.0, abs(vi), abs(vj)):
+            report.violations.append(ContinuityViolation(f.i, f.j, point, vi, vj))
     return report
+
+
+def _split_jump(alpha, delta):
+    """A Jacobian jump ``delta`` across the unit normal ``alpha``: its normal
+    component ``c``, its component ``delta - c alpha`` within the hyperplane,
+    and whether that component is negligible (the jump is parallel to
+    ``alpha``) to ``CONTINUITY_RTOL`` relative to ``max(1, |delta|)``."""
+    c = float(alpha @ delta)
+    along = delta - c * alpha
+    scale = max(1.0, float(np.linalg.norm(delta)))
+    return c, along, bool(np.linalg.norm(along) <= CONTINUITY_RTOL * scale)
 
 
 # ---------------------------------------------------------------------------
@@ -657,10 +644,7 @@ def check_consistent_variation(model, continuity=None):
         else:
             pos, neg = f.j, f.i
         delta = model.pieces[pos].jacobian - model.pieces[neg].jacobian
-        c = float(f.alpha @ delta)
-        resid = delta - c * f.alpha
-        scale = max(1.0, float(np.linalg.norm(delta)))
-        parallel = bool(np.linalg.norm(resid) <= CONTINUITY_RTOL * scale)
+        c, _, parallel = _split_jump(f.alpha, delta)
         jump = BoundaryJump(key, model.regions[pos].label,
                             model.regions[neg].label, delta, c, parallel)
         jumps.append(jump)

@@ -21,7 +21,7 @@ class CoverageGapError(PwlError):
 
     def __init__(self, point):
         self.point = point
-        super().__init__(f"no region contains the point {list(point)}")
+        super().__init__(f"no region contains the point {[float(v) for v in point]}")
 
 
 class DiscontinuousModelError(PwlError):

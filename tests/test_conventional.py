@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.linalg import null_space
 
 from pwlkit import (
     AffineFunction,
@@ -77,9 +78,10 @@ class TestContinuity:
         assert facets
         count = 0
         for facet in facets:
+            tangent = null_space(facet.alpha[None, :])
             while count < 10_000:
-                t = rng.uniform(-0.5, 0.5, facet.tangent.shape[1])
-                x = facet.center + facet.tangent @ t
+                t = rng.uniform(-0.5, 0.5, tangent.shape[1])
+                x = facet.center + tangent @ t
                 v = rng.normal(size=3)
                 v /= np.linalg.norm(v)
                 lhs = abs(fold3d.value(x + eps * v) - fold3d.value(x - eps * v))

@@ -42,18 +42,31 @@ def reference_find_facets(model):
                         else -1.0
                     candidates[hyperplane_key(alpha, beta)] = (alpha, beta, side_i)
             for alpha, beta, side_i in candidates.values():
-                center, radius, N = conventional._facet_interior(alpha, beta, joint, box)
+                center, radius = reference_facet_interior(alpha, beta, joint, box)
                 if center is not None:
-                    facets.append(Facet(i, j, alpha, float(beta), side_i,
-                                        center, radius, N))
+                    facets.append(Facet(i, j, alpha, float(beta), side_i, center, radius))
     return facets
 
 
+def reference_facet_interior(alpha, beta, joint, box):
+    """A facet's ``(center, radius)`` from its own LP in its own ``linprog``
+    call, or ``(None, -inf)`` where there is none."""
+    x0, N, block = conventional._facet_lp(alpha, beta, joint, box)
+    if block is None:
+        return (None, -np.inf) if x0 is None else (x0, 0.0)
+    k = N.shape[1]
+    ((status, x),) = conventional._solve_alone([block])
+    if status != 0 or float(x[k]) < conventional.FEASIBILITY_TOL:
+        return None, -np.inf
+    return x0 + N @ x[:k], float(x[k])
+
+
 def signature(facets):
-    """Every field of every facet, in order, as bytes."""
+    """The decision fields ``(i, j, alpha, beta, side_i)`` of every facet, in
+    order, as bytes.  A facet's center and radius are not compared: its LP
+    solved jointly with others can return another deepest point."""
     return [(f.i, f.j, f.alpha.tobytes(), np.float64(f.beta).tobytes(),
-             np.float64(f.side_i).tobytes(), f.center.tobytes(),
-             np.float64(f.radius).tobytes(), f.tangent.tobytes()) for f in facets]
+             np.float64(f.side_i).tobytes()) for f in facets]
 
 
 def compare(model):

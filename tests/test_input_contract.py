@@ -1,7 +1,9 @@
 """Malformed model files and oversized grids end in contract exit codes, and
 maxout groups of any size evaluate the right slot."""
 
+import re
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -117,3 +119,106 @@ class TestGridCap:
         assert code == 64
         assert out == ""
         assert err == "usage error: grid has 1e+18 points, the limit is 10000000\n"
+
+
+# ---------------------------------------------------------------------------
+# Degenerate halfspaces and coverage gaps in the committed fixtures
+# ---------------------------------------------------------------------------
+
+DATA = Path(__file__).parent / "data"
+TRI8 = (DATA / "tri8.txt").read_text()
+
+# the first normal's Euclidean length underflows to 0 or overflows to inf
+DEGENERATE_NORMALS = {"underflow": ("1e-300,1e-300", "0.0"),
+                      "overflow": ("1e308,1e308", "inf")}
+
+COMMANDS = {
+    "eval": lambda path, out: ["eval", "--model", path, "--grid", "0:1:0.5,0:1:0.5"],
+    "validate": lambda path, out: ["validate", "--model", path],
+    "convert": lambda path, out: ["convert", "--model", path, "--to", "lattice",
+                                  "--out", out],
+    "equiv": lambda path, out: ["equiv", "--model-a", path, "--model-b", path,
+                                "--box=0:1,0:1"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(COMMANDS))
+@pytest.mark.parametrize("name", sorted(DEGENERATE_NORMALS))
+def test_degenerate_halfspace_normal_exits_2(capsys, tmp_path, name, command):
+    normal, length = DEGENERATE_NORMALS[name]
+    path = tmp_path / "tri8.txt"
+    path.write_text(TRI8.replace("normal=-0.0,1.0", f"normal={normal}", 1))
+    code, out, err = run(capsys, *COMMANDS[command](path, tmp_path / "out.txt"))
+    assert (code, out) == (2, "")
+    assert err == ("cannot load model: bad model: halfspace normal must have a "
+                   f"finite, nonzero length (got {length}) (line 3)\n")
+
+
+def test_coverage_gap_in_a_conversion_exits_2(capsys, tmp_path):
+    # both halves of the square's lower-left cell move off the diagonal
+    path = tmp_path / "gap.txt"
+    path.write_text(TRI8.replace("H: normal=-1.0,1.0 offset=-0.0",
+                                 "H: normal=-1.0,1.0 offset=3"))
+    for target in ("lattice", "cplr", "dc"):
+        code, out, err = run(capsys, "convert", "--model", path, "--to", target,
+                             "--out", tmp_path / "out.txt")
+        assert (code, out) == (2, "")
+        assert err == "conversion failed: no region contains the point [-1.0, -0.9375]\n"
+    (tmp_path / "points.csv").write_text("0.5,1.0\n")
+    code, out, err = run(capsys, "eval", "--model", path, "--points",
+                         tmp_path / "points.csv")
+    assert (code, out) == (2, "")
+    assert err == "evaluation failed: no region contains the point [0.5, 1.0]\n"
+
+
+def test_equivalence_box_beyond_the_regions_exits_2(capsys, tmp_path, tent_corrected):
+    path = tmp_path / "tent.txt"
+    save_model(tent_corrected, path)
+    code, out, err = run(capsys, "convert", "--model", path, "--to", "cplr",
+                         "--out", tmp_path / "out.txt", "--box=-1:6")
+    assert (code, out) == (2, "")
+    assert err == "conversion failed: no region contains the point [-1.0]\n"
+
+
+# ---------------------------------------------------------------------------
+# Seeded mutations of the committed fixtures
+# ---------------------------------------------------------------------------
+
+# a float (counts and flags have no point) that is a field's value or
+# follows a comma in one
+NUMBER = re.compile(r"(?<=[=,])-?[0-9]*\.[0-9]+(?:e[-+]?[0-9]+)?")
+EXTREMES = ["0", "-0.0", "0.5", "3", "-1", "1e-12", "1e12", "1e-300", "1e308",
+            "-1e308", "nan", "inf"]
+CONTRACT_EXITS = {0, 2, 3, 4, 5, 6, 64}
+
+
+def mutate(text, rng):
+    """``text`` with one or two of its floats replaced by extreme numbers."""
+    spans = [m.span() for m in NUMBER.finditer(text)]
+    picks = rng.choice(len(spans), rng.integers(1, 3), replace=False)
+    for k in sorted(picks, reverse=True):
+        start, end = spans[k]
+        text = text[:start] + str(rng.choice(EXTREMES)) + text[end:]
+    return text
+
+
+@pytest.mark.parametrize("name,dim", [("arr3d", 3), ("plateau-ghh", 2),
+                                      ("plateau-nested", 2), ("tri8", 2)])
+def test_mutated_fixtures_end_in_contract_exits(capsys, tmp_path, name, dim):
+    rng = np.random.default_rng(14)
+    text = (DATA / f"{name}.txt").read_text()
+    grid = "--grid=" + ",".join(["-1:1:0.5"] * dim)
+    for k in range(24):
+        path = tmp_path / "model.txt"
+        path.write_text(mutate(text, rng))
+        argv = [["eval", "--model", path, grid],
+                ["validate", "--model", path],
+                ["convert", "--model", path, "--to", str(rng.choice(("lattice", "cplr",
+                                                                     "dc", "hh"))),
+                 "--out", tmp_path / "out.txt"]][k % 3]
+        try:
+            code, _, err = run(capsys, *argv)
+        except Exception as e:       # any exception breaks the exit-code contract
+            pytest.fail(f"{argv[0]} raised {e!r} on\n{path.read_text()}")
+        assert code in CONTRACT_EXITS, (argv, err)
+        assert "Traceback" not in err
