@@ -495,78 +495,94 @@ def cmd_trace_export(args):
 # Parser
 # ---------------------------------------------------------------------------
 
-def build_parser():
+COMMANDS = ("fit", "eval", "convert", "validate", "regions", "equiv", "trace-export")
+
+
+def build_parser(command=None):
+    """The CLI parser.  With ``command`` naming a subcommand only that
+    subcommand is declared, which parses its argv as the full parser does."""
     p = _Parser(prog="pwlkit",
                 description="Piecewise-linear model fitting, evaluation, "
                             "conversion, validation, and region analysis.")
     sub = p.add_subparsers(dest="command", required=True)
+    wanted = {command} if command in COMMANDS else set(COMMANDS)
 
-    f = sub.add_parser("fit", help="fit a model to CSV data")
-    f.add_argument("--data", required=True)
-    f.add_argument("--kind", required=True, choices=("hh", "ahh", "sbf", "dnn"))
-    f.add_argument("--out", required=True)
-    f.add_argument("--trace")
-    f.add_argument("--config")
-    f.add_argument("--header", type=_boolean, default=None,
-                   help="force a header row: 1/true/yes or 0/false/no (default: auto)")
-    f.add_argument("--max-terms", type=int, default=None)
-    f.add_argument("--seed", type=int, default=None)
-    f.add_argument("--ridge", type=float, default=None)
-    f.add_argument("--validation-split", type=float, default=None)
-    f.add_argument("--hidden", type=_hidden_sizes, default="16,16", help="e.g. 16,16")
-    f.add_argument("--activation", default="relu", choices=[*ACTIVATION_KINDS, "linear"])
-    f.add_argument("--learning-rate", type=float, default=None)
-    f.add_argument("--batch-size", type=int, default=None)
-    f.add_argument("--epochs", type=int, default=None)
-    f.set_defaults(func=cmd_fit)
+    if "fit" in wanted:
+        f = sub.add_parser("fit", help="fit a model to CSV data")
+        f.add_argument("--data", required=True)
+        f.add_argument("--kind", required=True, choices=("hh", "ahh", "sbf", "dnn"))
+        f.add_argument("--out", required=True)
+        f.add_argument("--trace")
+        f.add_argument("--config")
+        f.add_argument("--header", type=_boolean, default=None,
+                       help="force a header row: 1/true/yes or 0/false/no "
+                            "(default: auto)")
+        f.add_argument("--max-terms", type=int, default=None)
+        f.add_argument("--seed", type=int, default=None)
+        f.add_argument("--ridge", type=float, default=None)
+        f.add_argument("--validation-split", type=float, default=None)
+        f.add_argument("--hidden", type=_hidden_sizes, default="16,16", help="e.g. 16,16")
+        f.add_argument("--activation", default="relu",
+                       choices=[*ACTIVATION_KINDS, "linear"])
+        f.add_argument("--learning-rate", type=float, default=None)
+        f.add_argument("--batch-size", type=int, default=None)
+        f.add_argument("--epochs", type=int, default=None)
+        f.set_defaults(func=cmd_fit)
 
-    e = sub.add_parser("eval", help="evaluate a model on points or a grid")
-    e.add_argument("--model", required=True)
-    g = e.add_mutually_exclusive_group(required=True)
-    g.add_argument("--points")
-    g.add_argument("--grid", help="a:b:step[,a:b:step...]")
-    e.add_argument("--out")
-    e.set_defaults(func=cmd_eval)
+    if "eval" in wanted:
+        e = sub.add_parser("eval", help="evaluate a model on points or a grid")
+        e.add_argument("--model", required=True)
+        g = e.add_mutually_exclusive_group(required=True)
+        g.add_argument("--points")
+        g.add_argument("--grid", help="a:b:step[,a:b:step...]")
+        e.add_argument("--out")
+        e.set_defaults(func=cmd_eval)
 
-    c = sub.add_parser("convert", help="convert between representations")
-    c.add_argument("--model", required=True)
-    c.add_argument("--to", required=True, choices=CONVERSIONS)
-    c.add_argument("--out", required=True)
-    c.add_argument("--box", help="lo:hi[,lo:hi...] equivalence-check box")
-    c.add_argument("--density", type=int, default=33)
-    c.add_argument("--tolerance", type=float, default=1e-9)
-    c.set_defaults(func=cmd_convert)
+    if "convert" in wanted:
+        c = sub.add_parser("convert", help="convert between representations")
+        c.add_argument("--model", required=True)
+        c.add_argument("--to", required=True, choices=CONVERSIONS)
+        c.add_argument("--out", required=True)
+        c.add_argument("--box", help="lo:hi[,lo:hi...] equivalence-check box")
+        c.add_argument("--density", type=int, default=33)
+        c.add_argument("--tolerance", type=float, default=1e-9)
+        c.set_defaults(func=cmd_convert)
 
-    v = sub.add_parser("validate", help="check continuity and representability")
-    v.add_argument("--model", required=True)
-    v.set_defaults(func=cmd_validate)
+    if "validate" in wanted:
+        v = sub.add_parser("validate", help="check continuity and representability")
+        v.add_argument("--model", required=True)
+        v.set_defaults(func=cmd_validate)
 
-    r = sub.add_parser("regions", help="count linear regions of a network")
-    r.add_argument("--model", required=True)
-    r.add_argument("--box", help="lo:hi[,lo:hi...]")
-    r.add_argument("--method", default="pattern-enumeration",
-                   choices=("pattern-enumeration", "grid-probe"))
-    r.add_argument("--out", help="CSV of region certificates")
-    r.set_defaults(func=cmd_regions)
+    if "regions" in wanted:
+        r = sub.add_parser("regions", help="count linear regions of a network")
+        r.add_argument("--model", required=True)
+        r.add_argument("--box", help="lo:hi[,lo:hi...]")
+        r.add_argument("--method", default="pattern-enumeration",
+                       choices=("pattern-enumeration", "grid-probe"))
+        r.add_argument("--out", help="CSV of region certificates")
+        r.set_defaults(func=cmd_regions)
 
-    q = sub.add_parser("equiv", help="max deviation between two models")
-    q.add_argument("--model-a", required=True)
-    q.add_argument("--model-b", required=True)
-    q.add_argument("--box", required=True)
-    q.add_argument("--density", type=int, default=33)
-    q.add_argument("--tolerance", type=float, default=1e-9)
-    q.set_defaults(func=cmd_equiv)
+    if "equiv" in wanted:
+        q = sub.add_parser("equiv", help="max deviation between two models")
+        q.add_argument("--model-a", required=True)
+        q.add_argument("--model-b", required=True)
+        q.add_argument("--box", required=True)
+        q.add_argument("--density", type=int, default=33)
+        q.add_argument("--tolerance", type=float, default=1e-9)
+        q.set_defaults(func=cmd_equiv)
 
-    t = sub.add_parser("trace-export", help="re-emit a fit trace as tidy CSV")
-    t.add_argument("--trace", required=True)
-    t.add_argument("--out")
-    t.set_defaults(func=cmd_trace_export)
+    if "trace-export" in wanted:
+        t = sub.add_parser("trace-export", help="re-emit a fit trace as tidy CSV")
+        t.add_argument("--trace", required=True)
+        t.add_argument("--out")
+        t.set_defaults(func=cmd_trace_export)
 
     return p
 
 
 def main(argv=None):
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    parser = build_parser(argv[0] if argv else None)
     try:
         args = parser.parse_args(argv)
         return args.func(args)

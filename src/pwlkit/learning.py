@@ -11,7 +11,9 @@ from __future__ import annotations
 
 import csv
 import io
-import itertools
+import os
+import stat
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -33,10 +35,6 @@ SBF_SWEEPS = 2
 
 # Knot candidates: empirical quantiles 5%, 10%, ..., 95% of the support.
 AHH_KNOT_QUANTILES = tuple(q / 100.0 for q in range(5, 100, 5))
-
-# CSV rows converted per numpy call; larger chunks raise the peak memory of
-# a read without making it faster.
-CSV_CHUNK_ROWS = 256
 
 
 class Dataset:
@@ -92,35 +90,45 @@ def read_csv_floats(path, header="auto"):
     differs from the first data row, is a ValueError naming its row.
     """
     try:
-        return _read_csv_chunks(path, header)
-    except ValueError:
-        # read again row by row, for the error at its row and column
+        return _read_csv_numpy(path, header)
+    except Exception:
+        # any file numpy does not take is read again row by row, which
+        # gives its values or names the error at its row and column
         return _read_csv_rows(path, header)
 
 
-def _read_csv_chunks(path, header):
-    """``read_csv_floats`` converting ``CSV_CHUNK_ROWS`` rows per numpy call;
-    any bad value or ragged row is a bare ValueError."""
-    blocks = []
+def _read_csv_numpy(path, header):
+    """``read_csv_floats`` of a regular file, the header found through ``csv``
+    and the rows parsed by numpy's C reader, which rounds as ``float`` does.
+
+    Raises on any input the row loop may read otherwise: a bad value, a
+    ragged row, quotes, ``1_0`` or non-ASCII digits, no data rows (numpy
+    only warns), or a line over csv's field limit (numpy reads it).
+    """
+    if not stat.S_ISREG(os.stat(path).st_mode):
+        raise ValueError("not a regular file")  # a pipe is read only once
+    buf = np.fromfile(path, np.uint8)
+    ends = np.flatnonzero(buf == ord("\n"))
+    if np.diff(ends, prepend=-1, append=buf.size).max() > csv.field_size_limit():
+        raise ValueError("line longer than the csv field limit")
+    skip = 0
     with open(path, newline="") as fh:
-        records = filter(None, csv.reader(fh))
-        names = next(records, None) if header else None
+        reader = csv.reader(fh)
+        names = next(filter(None, reader), None) if header else None
         if header == "auto" and names is not None:
             try:
                 list(map(float, names))
             except ValueError:
                 pass
             else:
-                records, names = itertools.chain([names], records), None
-        width = None
-        while chunk := list(itertools.islice(records, CSV_CHUNK_ROWS)):
-            width = width or len(chunk[0])
-            if any(n != width for n in map(len, chunk)):
-                raise ValueError("rows of different lengths")
-            values = itertools.chain.from_iterable(chunk)
-            blocks.append(np.fromiter(map(float, values), float, width * len(chunk))
-                          .reshape(len(chunk), width))
-    return names, np.concatenate(blocks) if blocks else np.array([])
+                names = None
+        if names is not None:
+            skip = reader.line_num
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        data = np.loadtxt(path, delimiter=",", comments=None, quotechar=None,
+                          skiprows=skip, ndmin=2)
+    return names, data
 
 
 def _read_csv_rows(path, header):
@@ -245,20 +253,24 @@ def _augment(X):
     return np.column_stack([X, np.ones(X.shape[0])])
 
 
-def _scan_candidate_blocks(B, y, blocks, ridge):
+def _grams(B, y):
+    """``B.T @ B``, ``B.T @ y`` and ``y @ y``: a scan's fixed-column terms."""
+    return B.T @ B, B.T @ y, float(y @ y)
+
+
+def _scan_candidate_blocks(B, y, blocks, ridge, grams=None):
     """SSE of the ridge solve for ``[B | block]`` per candidate block.
 
     ``B`` holds the fixed design columns; ``blocks`` is (N, count, m) with
     one m-column block per candidate.  Normal equations are assembled from
     one Gram precompute plus one matmul across all candidates, so the scan
-    costs O(N k m) per candidate instead of a full factorization.  Returns
-    an SSE array (inf where the tiny system is singular).
+    costs O(N k m) per candidate instead of a full factorization.  Callers
+    that scan one ``(B, y)`` many times pass its ``grams`` (``_grams(B,
+    y)``).  Returns an SSE array (inf where the tiny system is singular).
     """
     N, k = B.shape
     _, count, m = blocks.shape
-    G = B.T @ B
-    gy = B.T @ y
-    yy = float(y @ y)
+    G, gy, yy = _grams(B, y) if grams is None else grams
     flat = blocks.reshape(N, count * m)
     cross = (B.T @ flat).reshape(k, count, m).transpose(1, 0, 2)   # (count, k, m)
     # one two-operand product per slot pair: the same sums, in the same order,
@@ -714,6 +726,7 @@ def fit_ahh(data, cfg=None):
     knots_of = {}
     while len(bases) + 2 <= cfg.max_terms:
         basis_cols = B[:, 1:]
+        grams = _grams(B, yt)
         best = None   # (sse, parent, v, knot)
         for parent in range(-1, len(bases)):
             parent_col = (np.ones(Xt.shape[0]) if parent < 0
@@ -733,7 +746,7 @@ def fit_ahh(data, cfg=None):
                            out=blocks[:, :, 0])
                 np.minimum(parent_col[:, None], np.maximum(knots - x, 0.0),
                            out=blocks[:, :, 1])
-                scan = _scan_candidate_blocks(B, yt, blocks, cfg.ridge)
+                scan = _scan_candidate_blocks(B, yt, blocks, cfg.ridge, grams)
                 i = int(np.argmin(scan))
                 if np.isfinite(scan[i]) and (best is None or scan[i] < best[0] - 1e-15):
                     best = (float(scan[i]), parent, v, float(knots[i]))
@@ -831,6 +844,7 @@ def fit_sbf(data, cfg=None):
         zeta = Xt[int(np.argmax(abs_residual))].copy()
         gamma = np.ones(n)
         A = np.abs(Xt - zeta)
+        grams = _grams(B, yt)
         for _sweep in range(SBF_SWEEPS):
             for i in range(n):
                 cols = []
@@ -839,7 +853,7 @@ def fit_sbf(data, cfg=None):
                     trial_gamma[i] = g
                     cols.append(_sbf_column(A, trial_gamma))
                 blocks = np.stack(cols, axis=1)[:, :, None]
-                scan = _scan_candidate_blocks(B, yt, blocks, cfg.ridge)
+                scan = _scan_candidate_blocks(B, yt, blocks, cfg.ridge, grams)
                 j = int(np.argmin(scan))
                 if np.isfinite(scan[j]):
                     gamma[i] = SBF_GAMMA_GRID[j]

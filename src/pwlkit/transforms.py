@@ -260,7 +260,7 @@ def _verify_on_grid(model, candidate, pts, what):
     if model.domain is not None:
         pts = pts[model.domain.contains_many(pts, tol=1e-9)]
     err = np.max(np.abs(candidate.values(pts) - model.values(pts)), initial=0.0)
-    if err > 1e-9:
+    if not err <= 1e-9:     # a NaN deviation fails too
         raise ConstructionError(f"{what} failed verification: max deviation {err:.3e}")
 
 

@@ -3,11 +3,13 @@ import pytest
 
 from pwlkit import (
     AffineFunction,
+    ConstructionError,
     ConventionalPWL,
     CplrModel,
     DcSizeError,
     Halfspace,
     HingeModel,
+    LatticeModel,
     NotCplrRepresentableError,
     Region,
     box_region,
@@ -243,3 +245,29 @@ class TestEquivalence:
         assert not report.equivalent
         assert report.max_abs_deviation == pytest.approx(5.9, abs=1e-9)
         assert report.argmax_point[0] == pytest.approx(-3.0, abs=1e-9)
+
+
+class TestVerificationRefusesNan:
+    """A constructed form that evaluates to NaN at one in-domain grid point
+    fails verification: its NaN deviation is not within 1e-9."""
+
+    @staticmethod
+    def _nan_at_one_point(monkeypatch, cls):
+        values = cls.values
+
+        def patched(self, X):
+            out = np.array(values(self, X), dtype=float)
+            out[out.shape[0] // 2] = np.nan
+            return out
+
+        monkeypatch.setattr(cls, "values", patched)
+
+    def test_lattice(self, tent_corrected, monkeypatch):
+        self._nan_at_one_point(monkeypatch, LatticeModel)
+        with pytest.raises(ConstructionError, match="max deviation nan"):
+            lattice_from_conventional(tent_corrected)
+
+    def test_canonical(self, fold3d, monkeypatch):
+        self._nan_at_one_point(monkeypatch, CplrModel)
+        with pytest.raises(ConstructionError, match="max deviation nan"):
+            cplr_from_consistent(fold3d)
