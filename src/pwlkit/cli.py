@@ -4,6 +4,10 @@ Exit codes form a contract: 0 ok, 2 input error, 3 fit failure, 4 not
 representable, 5 validation violations (or conversion deviation above
 tolerance), 6 budget exceeded, 64 usage error.  All file writes are
 atomic and all commands are deterministic for fixed inputs and seeds.
+
+Each command imports the library modules it calls when it runs, never at
+module scope, so ``import pwlkit.cli`` loads only ``pwlkit.errors``
+besides this module.
 """
 
 from __future__ import annotations
@@ -16,8 +20,6 @@ import sys
 
 import numpy as np
 
-from .affine import mesh_points
-from .conventional import ConventionalPWL, check_consistent_variation, check_continuity
 from .errors import (
     BudgetExceededError,
     ConstructionError,
@@ -27,26 +29,6 @@ from .errors import (
     NotCplrRepresentableError,
     ParseError,
     PwlError,
-)
-from .formats import TextChunks, load_model, save_model, write_text_atomic
-from .learning import (Dataset, FitConfig, csv_text, fit_ahh, fit_hh, fit_sbf,
-                       read_csv_floats)
-from .models import CplrModel, HingeModel
-from .network import (
-    ACTIVATION_KINDS,
-    PwlNetwork,
-    TrainConfig,
-    count_regions,
-    init_params,
-    network_from_sizes,
-    train_sgd,
-)
-from .transforms import (
-    check_equivalence,
-    cplr_from_consistent,
-    dc_from_model,
-    ghh_from_dc,
-    lattice_from_conventional,
 )
 
 EXIT_OK = 0
@@ -62,6 +44,11 @@ MAX_GRID_POINTS = 10**7
 
 # Rows ``eval`` formats at a time.
 EVAL_BLOCK_ROWS = 4096
+
+# ``--activation`` choices: the keys of ``network.ACTIVATION_KINDS`` in their
+# order, then "linear"; spelled out so that the parser needs no network module.
+ACTIVATIONS = ("relu", "leaky_relu", "parametric_relu", "s_shaped_relu",
+               "flexible_relu", "apl", "maxout", "linear")
 
 
 class CliError(Exception):
@@ -94,6 +81,7 @@ def _reading(what):
 
 
 def _load(path):
+    from .formats import load_model
     with _reading("load model"):
         return load_model(path)
 
@@ -144,6 +132,7 @@ def _grid_axes(spec):
 
 def _parse_grid(spec):
     """Grid spec into its lexicographic point list, last axis fastest."""
+    from .affine import mesh_points
     return mesh_points(_grid_axes(spec))
 
 
@@ -229,6 +218,8 @@ def _rmse(sse, count):
 # ---------------------------------------------------------------------------
 
 def cmd_fit(args):
+    from .formats import csv_text, save_model, write_text_atomic
+    from .learning import Dataset
     with _reading("read dataset"):
         data = Dataset.from_csv(args.data, header="auto" if args.header is None
                                 else args.header)
@@ -236,6 +227,7 @@ def cmd_fit(args):
     file_values = _read_config(args.config) if args.config else {}
 
     if args.kind == "dnn":
+        from .network import TrainConfig, init_params, network_from_sizes, train_sgd
         overrides = {"learning_rate": args.learning_rate,
                      "batch_size": args.batch_size,
                      "epochs": args.epochs, "seed": args.seed}
@@ -253,6 +245,7 @@ def cmd_fit(args):
                               ((i, repr(float(v))) for i, v in enumerate(curve)))
         seed = cfg.seed
     else:
+        from .learning import FitConfig, fit_ahh, fit_hh, fit_sbf
         overrides = {"max_terms": args.max_terms, "seed": args.seed,
                      "ridge": args.ridge,
                      "validation_split": args.validation_split}
@@ -292,6 +285,8 @@ def cmd_fit(args):
 
 
 def cmd_eval(args):
+    from .affine import mesh_points
+    from .formats import TextChunks, read_csv_floats, write_text_atomic
     model = _load(args.model)
     axes = None
     if args.grid:
@@ -355,34 +350,61 @@ def _unsupported(reason):
                     "conventional->cplr, hh->cplr, cplr->hh, any->dc, any->ghh")
 
 
+def _convert(model, target_kind, density):
+    """``model`` in the ``target_kind`` representation."""
+    from .conventional import ConventionalPWL
+    from .formats import instance_of
+    from .models import CplrModel, HingeModel
+    from .transforms import (cplr_from_consistent, dc_from_model, ghh_from_dc,
+                             lattice_from_conventional)
+    if target_kind == "lattice":
+        if not isinstance(model, ConventionalPWL):
+            raise _unsupported("lattice conversion needs a conventional model")
+        return lattice_from_conventional(model, probe_density=density)
+    if target_kind == "cplr":
+        if isinstance(model, HingeModel):
+            return CplrModel.from_hinges(model)
+        if isinstance(model, ConventionalPWL):
+            return cplr_from_consistent(model)
+        raise _unsupported("canonical conversion needs a conventional or hinge model")
+    if target_kind in ("dc", "ghh"):
+        if instance_of(model, "network", "PwlNetwork"):
+            raise _unsupported("networks have no difference-of-convex lowering")
+        target = dc_from_model(model)
+        return ghh_from_dc(target) if target_kind == "ghh" else target
+    if not isinstance(model, CplrModel):
+        raise _unsupported("hinge conversion needs a canonical model")
+    return HingeModel.from_cplr(model)
+
+
+def _finite(value):
+    """Whether every number in ``value`` is finite: a number or an array, an
+    affine function, a model (its attributes), or a tuple or list of these."""
+    if isinstance(value, (tuple, list)):
+        return all(map(_finite, value))
+    if hasattr(value, "jacobian"):          # an AffineFunction, which has slots
+        return _finite((value.jacobian, value.bias))
+    if hasattr(value, "__dict__"):
+        return _finite(list(vars(value).values()))
+    return bool(np.all(np.isfinite(value)))
+
+
 def cmd_convert(args):
+    from .conventional import ConventionalPWL
+    from .formats import save_model
+    from .transforms import check_equivalence
     model = _load(args.model)
     box = _parse_box(args.box, model.dim) if args.box else None
     _check_density(args.density, model.dim)
     target_kind = args.to
     try:
-        if target_kind == "lattice":
-            if not isinstance(model, ConventionalPWL):
-                raise _unsupported("lattice conversion needs a conventional model")
-            target = lattice_from_conventional(model, probe_density=args.density)
-        elif target_kind == "cplr":
-            if isinstance(model, HingeModel):
-                target = CplrModel.from_hinges(model)
-            elif isinstance(model, ConventionalPWL):
-                target = cplr_from_consistent(model)
-            else:
-                raise _unsupported("canonical conversion needs a conventional or "
-                                   "hinge model")
-        elif target_kind in ("dc", "ghh"):
-            if isinstance(model, PwlNetwork):
-                raise _unsupported("networks have no difference-of-convex lowering")
-            target = dc_from_model(model)
-            if target_kind == "ghh":
-                target = ghh_from_dc(target)
-        else:
-            if not isinstance(model, CplrModel):
-                raise _unsupported("hinge conversion needs a canonical model")
-            target = HingeModel.from_cplr(model)
+        # huge finite coefficients can overflow to a non-finite target, which
+        # is refused here, before it is evaluated or written
+        with np.errstate(over="ignore", invalid="ignore"):
+            target = _convert(model, target_kind, args.density)
+        if not _finite(target):
+            raise ValueError(f"the {target_kind} form has coefficients that are not "
+                             "finite; the model's coefficients are too large")
         if box is None and isinstance(model, ConventionalPWL) and model.domain is not None:
             box = model.domain_box()
         elif box is None:
@@ -415,13 +437,15 @@ def cmd_convert(args):
 
 
 def cmd_validate(args):
+    from .formats import instance_of
     model = _load(args.model)
-    if not isinstance(model, ConventionalPWL):
+    if not instance_of(model, "conventional", "ConventionalPWL"):
         _summary([
             ("kind", type(model).__name__),
             ("continuity", "continuous by construction"),
         ])
         return EXIT_OK
+    from .conventional import check_consistent_variation, check_continuity
     report = check_continuity(model)
     _summary([
         ("kind", "ConventionalPWL"),
@@ -444,6 +468,8 @@ def cmd_validate(args):
 
 
 def cmd_regions(args):
+    from .formats import write_text_atomic
+    from .network import PwlNetwork, count_regions
     model = _load(args.model)
     if not isinstance(model, PwlNetwork):
         raise CliError(EXIT_INPUT, "region analysis needs a network model")
@@ -467,6 +493,7 @@ def cmd_regions(args):
 
 
 def cmd_equiv(args):
+    from .transforms import check_equivalence
     a, b = _load(args.model_a), _load(args.model_b)
     if a.dim != b.dim:
         raise CliError(EXIT_INPUT, f"dimension mismatch: {a.dim} vs {b.dim}")
@@ -479,6 +506,7 @@ def cmd_equiv(args):
 
 
 def cmd_trace_export(args):
+    from .formats import csv_text, write_text_atomic
     with _reading("read trace"), open(args.trace, newline="") as fh:
         rows = list(csv.reader(fh))
     if not rows:
@@ -523,7 +551,7 @@ def build_parser(command=None):
         f.add_argument("--validation-split", type=float, default=None)
         f.add_argument("--hidden", type=_hidden_sizes, default="16,16", help="e.g. 16,16")
         f.add_argument("--activation", default="relu",
-                       choices=[*ACTIVATION_KINDS, "linear"])
+                       choices=ACTIVATIONS)
         f.add_argument("--learning-rate", type=float, default=None)
         f.add_argument("--batch-size", type=int, default=None)
         f.add_argument("--epochs", type=int, default=None)

@@ -572,7 +572,8 @@ def check_continuity(model):
         pts = np.vstack([f.center, f.center + reach * _in_plane(f.alpha, along)])
         vi, vj = pi.values(pts), pj.values(pts)
         scale = np.maximum(1.0, np.maximum(np.abs(vi), np.abs(vj)))
-        bad = np.flatnonzero(np.abs(vi - vj) > CONTINUITY_RTOL * scale)
+        # a NaN difference (pieces that overflow there) is a violation too
+        bad = np.flatnonzero(~(np.abs(vi - vj) <= CONTINUITY_RTOL * scale))
         if bad.size:
             k = bad[0]
             report.violations.append(
@@ -670,7 +671,7 @@ def check_consistent_variation(model, continuity=None):
                 return ConsistentVariationResult(False, key, jumps, hyperplanes)
         scalars = np.array([j.scalar for j in grp])
         ref = scalars[0]
-        if np.any(np.abs(scalars - ref) > CONTINUITY_RTOL * max(1.0, abs(ref))):
+        if not np.all(np.abs(scalars - ref) <= CONTINUITY_RTOL * max(1.0, abs(ref))):
             return ConsistentVariationResult(False, key, jumps, hyperplanes)
         hyperplanes[key] = (alpha, float(beta), float(ref))
     return ConsistentVariationResult(True, None, jumps, hyperplanes)

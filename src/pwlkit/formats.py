@@ -3,34 +3,27 @@
 Each file starts with ``pwl-<kind> v1`` followed by kind-specific records.
 Floats are written with shortest round-trip precision, so a load after a
 save recovers every parameter bit for bit.  ``load_model`` dispatches on
-the header; ``save_model`` picks the format from the object type.
+the header; ``save_model`` picks the format from the object type.  The
+comma-separated tables the CLI reads and writes are here too.
+
+A reader imports the module of its model kind when it runs, so loading
+a model compiles only the modules that model needs.
 """
 
 from __future__ import annotations
 
+import csv
+import io
 import math
 import os
+import stat
+import sys
 import tempfile
+import warnings
 
 import numpy as np
 
-from .affine import AffineFunction
-from .conventional import ConventionalPWL, Halfspace, Region
 from .errors import DimensionMismatchError, ParseError
-from .models import (
-    AhhBasis,
-    AhhModel,
-    CplrExpr,
-    CplrModel,
-    GhhModel,
-    HingeModel,
-    HlCplrBasis,
-    LatticeModel,
-    NestedCplrModel,
-    SbfModel,
-)
-from .network import Layer, PwlNetwork, make_activation
-from .transforms import DCForm
 
 # Deepest child a ``pwl-nested`` node may have below the root.  The
 # expression tree is walked recursively (parsing, sorting, evaluation, DC
@@ -276,25 +269,36 @@ def _write_network(net):
     return "\n".join(out) + "\n"
 
 
+# (pwlkit module, class, writer), tried in this order
 _WRITERS = [
-    (ConventionalPWL, _write_conventional),
-    (CplrModel, _write_cplr),
-    (HingeModel, _write_hh),
-    (GhhModel, _write_ghh),
-    (NestedCplrModel, _write_nested),
-    (HlCplrBasis, _write_hlcplr),
-    (AhhModel, _write_ahh),
-    (SbfModel, _write_sbf),
-    (LatticeModel, _write_lattice),
-    (DCForm, _write_dc),
-    (PwlNetwork, _write_network),
+    ("conventional", "ConventionalPWL", _write_conventional),
+    ("models", "CplrModel", _write_cplr),
+    ("models", "HingeModel", _write_hh),
+    ("models", "GhhModel", _write_ghh),
+    ("models", "NestedCplrModel", _write_nested),
+    ("models", "HlCplrBasis", _write_hlcplr),
+    ("models", "AhhModel", _write_ahh),
+    ("models", "SbfModel", _write_sbf),
+    ("models", "LatticeModel", _write_lattice),
+    ("transforms", "DCForm", _write_dc),
+    ("network", "PwlNetwork", _write_network),
 ]
+
+
+def instance_of(obj, module, name):
+    """``isinstance(obj, pwlkit.<module>.<name>)``, without importing ``module``.
+
+    An object's class is defined before the object exists, so while the
+    module is not loaded nothing can be an instance of its classes.
+    """
+    loaded = sys.modules.get(f"{__package__}.{module}")
+    return loaded is not None and isinstance(obj, getattr(loaded, name))
 
 
 def serialize(model):
     """Render any supported model to its text format."""
-    for cls, writer in _WRITERS:
-        if isinstance(model, cls):
+    for module, name, writer in _WRITERS:
+        if instance_of(model, module, name):
             return writer(model)
     raise TypeError(f"no text format for {type(model).__name__}")
 
@@ -304,6 +308,7 @@ def serialize(model):
 # ---------------------------------------------------------------------------
 
 def _read_halfspaces(r):
+    from .conventional import Halfspace
     hs = []
     while r.peek() is not None and r.peek().startswith("H:"):
         hf = _fields(r.next(), r)
@@ -313,6 +318,8 @@ def _read_halfspaces(r):
 
 
 def _read_conventional(r, fields):
+    from .affine import AffineFunction
+    from .conventional import ConventionalPWL, Region
     dim = _count(fields.get("dim", ""), r)
     pieces_n = _count(fields.get("pieces", ""), r)
     pieces, regions = [], []
@@ -331,6 +338,7 @@ def _read_conventional(r, fields):
 
 
 def _read_cplr(r, fields):
+    from .models import CplrModel
     f = _fields(r.next("affine:"), r)
     alpha0, beta0 = _floats(f["alpha"], r), _float(f["beta"], r)
     terms = []
@@ -342,6 +350,7 @@ def _read_cplr(r, fields):
 
 
 def _read_hh(r, fields):
+    from .models import HingeModel
     f = _fields(r.next("affine:"), r)
     alpha0, beta0 = _floats(f["alpha"], r), _float(f["beta"], r)
     hinges = []
@@ -353,6 +362,8 @@ def _read_hh(r, fields):
 
 
 def _read_ghh(r, fields):
+    from .affine import AffineFunction
+    from .models import GhhModel
     terms = []
     for _ in range(_count(fields.get("terms", "0"), r)):
         tf = _fields(r.next("term:"), r)
@@ -365,6 +376,8 @@ def _read_ghh(r, fields):
 
 
 def _read_expr(r, depth=0):
+    from .affine import AffineFunction
+    from .models import CplrExpr
     line = r.next("node:")
     if depth > MAX_NEST_DEPTH:
         r.error(f"nesting deeper than {MAX_NEST_DEPTH} levels")
@@ -378,10 +391,12 @@ def _read_expr(r, depth=0):
 
 
 def _read_nested(r, fields):
+    from .models import NestedCplrModel
     return NestedCplrModel(_read_expr(r))
 
 
 def _read_hlcplr(r, fields):
+    from .models import HlCplrBasis
     coords = []
     for _ in range(_count(fields.get("coords", "0"), r)):
         cf = _fields(r.next("c:"), r)
@@ -391,6 +406,7 @@ def _read_hlcplr(r, fields):
 
 
 def _read_ahh(r, fields):
+    from .models import AhhBasis, AhhModel
     bases = []
     for _ in range(_count(fields.get("bases", "0"), r)):
         bf = _fields(r.next("basis:"), r)
@@ -404,6 +420,7 @@ def _read_ahh(r, fields):
 
 
 def _read_sbf(r, fields):
+    from .models import SbfModel
     bases = []
     for _ in range(_count(fields.get("bases", "0"), r)):
         bf = _fields(r.next("basis:"), r)
@@ -413,6 +430,8 @@ def _read_sbf(r, fields):
 
 
 def _read_lattice(r, fields):
+    from .affine import AffineFunction
+    from .models import LatticeModel
     affines = []
     for _ in range(_count(fields.get("affines", "0"), r)):
         af = _fields(r.next("a:"), r)
@@ -426,6 +445,7 @@ def _read_lattice(r, fields):
 
 
 def _read_dc(r, fields):
+    from .transforms import DCForm
     sides, width = ([], []), None
     for rows, tag, key in zip(sides, ("p:", "m:"), ("plus", "minus")):
         for _ in range(_count(fields.get(key, "0"), r)):
@@ -452,6 +472,7 @@ def _read_matrix(r, name):
 
 
 def _read_network(r, fields):
+    from .network import Layer, PwlNetwork, make_activation
     header = r.pos
     layers = []
     for _ in range(_count(fields.get("layers", "0"), r)):
@@ -580,3 +601,92 @@ class TextChunks:
 
     def __len__(self):
         return self._size
+
+
+# ---------------------------------------------------------------------------
+# CSV tables
+# ---------------------------------------------------------------------------
+
+def read_csv_floats(path, header="auto"):
+    """The header row (or None) and the float rows of a comma-separated file.
+
+    Blank lines are skipped.  ``header`` may be True, False, or "auto" (a
+    first row that is not all numbers).  A bad value, or a row whose length
+    differs from the first data row, is a ValueError naming its row.
+    """
+    try:
+        return _read_csv_numpy(path, header)
+    except Exception:
+        # any file numpy does not take is read again row by row, which
+        # gives its values or names the error at its row and column
+        return _read_csv_rows(path, header)
+
+
+def _read_csv_numpy(path, header):
+    """``read_csv_floats`` of a regular file, the header found through ``csv``
+    and the rows parsed by numpy's C reader, which rounds as ``float`` does.
+
+    Raises on any input the row loop may read otherwise: a bad value, a
+    ragged row, quotes, ``1_0`` or non-ASCII digits, no data rows (numpy
+    only warns), or a line over csv's field limit (numpy reads it).
+    """
+    if not stat.S_ISREG(os.stat(path).st_mode):
+        raise ValueError("not a regular file")  # a pipe is read only once
+    buf = np.fromfile(path, np.uint8)
+    ends = np.flatnonzero(buf == ord("\n"))
+    if np.diff(ends, prepend=-1, append=buf.size).max() > csv.field_size_limit():
+        raise ValueError("line longer than the csv field limit")
+    skip = 0
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        names = next(filter(None, reader), None) if header else None
+        if header == "auto" and names is not None:
+            try:
+                list(map(float, names))
+            except ValueError:
+                pass
+            else:
+                names = None
+        if names is not None:
+            skip = reader.line_num
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        data = np.loadtxt(path, delimiter=",", comments=None, quotechar=None,
+                          skiprows=skip, ndmin=2)
+    return names, data
+
+
+def _read_csv_rows(path, header):
+    """``read_csv_floats`` one row at a time, naming the first bad row."""
+    rows = []
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        records = filter(None, reader)
+        names = next(records, None) if header and header != "auto" else None
+        for raw in records:
+            try:
+                row = list(map(float, raw))
+            except ValueError:
+                if header == "auto" and names is None and not rows:
+                    names = raw
+                    continue
+                for col, v in enumerate(raw, 1):
+                    try:
+                        float(v)
+                    except ValueError:
+                        raise ValueError(f"row {reader.line_num}, column {col}: "
+                                         f"not a number: {v!r}") from None
+            if rows and len(row) != len(rows[0]):
+                raise ValueError(f"row {reader.line_num} has {len(row)} values, "
+                                 f"the first has {len(rows[0])}")
+            rows.append(row)
+    return names, np.array(rows)
+
+
+def csv_text(header, rows):
+    """CSV text of a header row and the rows under it, newline-terminated."""
+    buf = io.StringIO()
+    w = csv.writer(buf, lineterminator="\n")
+    w.writerow(header)
+    w.writerows(rows)
+    return buf.getvalue()

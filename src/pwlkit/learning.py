@@ -9,16 +9,12 @@ fixed seed.
 
 from __future__ import annotations
 
-import csv
-import io
-import os
-import stat
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import DegenerateSplitError, SingularSystemError
+from .formats import csv_text, read_csv_floats
 from .models import AhhBasis, AhhModel, HingeModel, SbfModel
 
 # Random re-splits allowed before hinge finding gives up on a side.
@@ -80,91 +76,6 @@ class Dataset:
             raise ValueError(f"{path}: need at least one input column plus target")
         return cls(data[:, :-1], data[:, -1],
                    feature_names=None if names is None else names[:-1])
-
-
-def read_csv_floats(path, header="auto"):
-    """The header row (or None) and the float rows of a comma-separated file.
-
-    Blank lines are skipped.  ``header`` may be True, False, or "auto" (a
-    first row that is not all numbers).  A bad value, or a row whose length
-    differs from the first data row, is a ValueError naming its row.
-    """
-    try:
-        return _read_csv_numpy(path, header)
-    except Exception:
-        # any file numpy does not take is read again row by row, which
-        # gives its values or names the error at its row and column
-        return _read_csv_rows(path, header)
-
-
-def _read_csv_numpy(path, header):
-    """``read_csv_floats`` of a regular file, the header found through ``csv``
-    and the rows parsed by numpy's C reader, which rounds as ``float`` does.
-
-    Raises on any input the row loop may read otherwise: a bad value, a
-    ragged row, quotes, ``1_0`` or non-ASCII digits, no data rows (numpy
-    only warns), or a line over csv's field limit (numpy reads it).
-    """
-    if not stat.S_ISREG(os.stat(path).st_mode):
-        raise ValueError("not a regular file")  # a pipe is read only once
-    buf = np.fromfile(path, np.uint8)
-    ends = np.flatnonzero(buf == ord("\n"))
-    if np.diff(ends, prepend=-1, append=buf.size).max() > csv.field_size_limit():
-        raise ValueError("line longer than the csv field limit")
-    skip = 0
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        names = next(filter(None, reader), None) if header else None
-        if header == "auto" and names is not None:
-            try:
-                list(map(float, names))
-            except ValueError:
-                pass
-            else:
-                names = None
-        if names is not None:
-            skip = reader.line_num
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        data = np.loadtxt(path, delimiter=",", comments=None, quotechar=None,
-                          skiprows=skip, ndmin=2)
-    return names, data
-
-
-def _read_csv_rows(path, header):
-    """``read_csv_floats`` one row at a time, naming the first bad row."""
-    rows = []
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        records = filter(None, reader)
-        names = next(records, None) if header and header != "auto" else None
-        for raw in records:
-            try:
-                row = list(map(float, raw))
-            except ValueError:
-                if header == "auto" and names is None and not rows:
-                    names = raw
-                    continue
-                for col, v in enumerate(raw, 1):
-                    try:
-                        float(v)
-                    except ValueError:
-                        raise ValueError(f"row {reader.line_num}, column {col}: "
-                                         f"not a number: {v!r}") from None
-            if rows and len(row) != len(rows[0]):
-                raise ValueError(f"row {reader.line_num} has {len(row)} values, "
-                                 f"the first has {len(rows[0])}")
-            rows.append(row)
-    return names, np.array(rows)
-
-
-def csv_text(header, rows):
-    """CSV text of a header row and the rows under it, newline-terminated."""
-    buf = io.StringIO()
-    w = csv.writer(buf, lineterminator="\n")
-    w.writerow(header)
-    w.writerows(rows)
-    return buf.getvalue()
 
 
 @dataclass

@@ -143,3 +143,7 @@ def test_main_declares_only_the_named_subcommand(argv, declared, monkeypatch):
     assert len(calls) == declared
     if declared == 1:
         assert calls == argv[:1]
+
+
+def test_activation_choices_are_the_network_kinds_and_linear():
+    assert cli.ACTIVATIONS == (*ACTIVATION_KINDS, "linear")

@@ -245,3 +245,20 @@ def test_3d_validate_makes_one_facet_solve(monkeypatch, capsys):
     assert "facets: 24\ncontinuity-violations: 0\n" in out
     assert "consistent-variation: yes" in out
     assert calls == {"all": 2, "facet": 1}     # the domain's box, the facets
+
+
+def test_pieces_that_overflow_to_nan_on_the_facet_are_flagged():
+    """Pieces 1e308 x1 - 1e308 x2 and 1e308 x1 - 0.9e308 x2 split at x1 = x2
+    on [-10, 10]^2 agree at the facet's center and drift apart along it, but
+    at its four other points both products overflow, so each piece is NaN or
+    infinite there (as the BLAS sums them) and their difference is NaN."""
+    regions = [Region([Halfspace([1.0, -1.0], 0.0)], 0),
+               Region([Halfspace([-1.0, 1.0], 0.0)], 1)]
+    pieces = [AffineFunction([1e308, -1e308], 0.0), AffineFunction([1e308, -0.9e308], 0.0)]
+    model = ConventionalPWL(2, regions, pieces, domain=box_region([-10.0] * 2, [10.0] * 2))
+    with np.errstate(over="ignore", invalid="ignore"):
+        report = check_continuity(model)
+    ((facet,), (v,)) = report.facets, report.violations
+    assert (v.region_i, v.region_j) == (0, 1)
+    assert np.isnan(v.value_i - v.value_j)
+    assert np.linalg.norm(v.point - facet.center) == pytest.approx(0.8 * facet.radius)

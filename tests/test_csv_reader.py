@@ -152,12 +152,12 @@ def test_inputs_numpy_must_not_decide(tmp_path, text, header):
 
 
 def test_clean_file_is_parsed_by_numpy(tmp_path, monkeypatch):
-    from pwlkit import learning
+    from pwlkit import formats
 
     def no_row_loop(path, header):
         raise AssertionError("clean file fell back to the row loop")
 
-    monkeypatch.setattr(learning, "_read_csv_rows", no_row_loop)
+    monkeypatch.setattr(formats, "_read_csv_rows", no_row_loop)
     values = np.random.default_rng(0).standard_normal((1000, 3))
     path = tmp_path / "data.csv"
     path.write_text("a,b,c\n" + "".join(f"{a!r},{b!r},{c!r}\n"

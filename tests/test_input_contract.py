@@ -3,6 +3,7 @@ maxout groups of any size evaluate the right slot."""
 
 import re
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -178,6 +179,33 @@ def test_equivalence_box_beyond_the_regions_exits_2(capsys, tmp_path, tent_corre
                          "--out", tmp_path / "out.txt", "--box=-1:6")
     assert (code, out) == (2, "")
     assert err == "conversion failed: no region contains the point [-1.0]\n"
+
+
+# Finite models whose conversion overflows: the plateau's two leaves scaled to
+# 1e308 (its DC rows sum them), and a canonical model whose hinge rewrite
+# subtracts 1e308 from -1e308
+OVERFLOWING = {
+    "dc": (DATA / "plateau-nested.txt").read_text().replace("alpha=1.0,-1.0",
+                                                            "alpha=1e308,-1.0"),
+    "ghh": (DATA / "plateau-nested.txt").read_text().replace("alpha=1.0,-1.0",
+                                                             "alpha=1e308,-1.0"),
+    "hh": "pwl-cplr v1 dim=1 terms=1\naffine: alpha=-1e308 beta=0.0\n"
+          "term: eta=1 alpha=1e308 beta=0.0\n",
+}
+
+
+@pytest.mark.parametrize("target", sorted(OVERFLOWING))
+def test_conversion_that_overflows_exits_2_and_writes_nothing(capsys, tmp_path, target):
+    path = tmp_path / "model.txt"
+    path.write_text(OVERFLOWING[target])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(capsys, "convert", "--model", path, "--to", target,
+                             "--out", tmp_path / "out.txt")
+    assert (code, out) == (2, "")
+    assert err == (f"conversion failed: the {target} form has coefficients that are "
+                   "not finite; the model's coefficients are too large\n")
+    assert not (tmp_path / "out.txt").exists()
 
 
 # ---------------------------------------------------------------------------
