@@ -588,10 +588,10 @@ def _in_plane(alpha, along):
     ``along``, which was then rounding left of a jump normal to the
     hyperplane ("twice is enough", Kahan).  Zero in 1-D."""
     again = along - float(alpha @ along) * alpha
-    if not np.linalg.norm(again) > 0.5 * np.linalg.norm(along):
+    if not _norm(again) > 0.5 * _norm(along):
         axis = np.eye(alpha.shape[0])[np.argmin(np.abs(alpha))]
         again = axis - float(alpha @ axis) * alpha
-    norm = float(np.linalg.norm(again))
+    norm = _norm(again)
     return again / norm if norm > 0 else again
 
 
@@ -602,8 +602,19 @@ def _split_jump(alpha, delta):
     ``alpha``) to ``CONTINUITY_RTOL`` relative to ``max(1, |delta|)``."""
     c = float(alpha @ delta)
     along = delta - c * alpha
-    scale = max(1.0, float(np.linalg.norm(delta)))
-    return c, along, bool(np.linalg.norm(along) <= CONTINUITY_RTOL * scale)
+    scale = max(1.0, _norm(delta))
+    return c, along, bool(_norm(along) <= CONTINUITY_RTOL * scale)
+
+
+def _norm(v):
+    """``np.linalg.norm(v)``, recomputed from ``v`` scaled by its largest
+    entry only when the plain sum of squares overflows."""
+    with np.errstate(over="ignore"):
+        norm = float(np.linalg.norm(v))
+    if norm == np.inf and np.all(np.isfinite(v)):
+        big = float(np.max(np.abs(v)))
+        norm = big * float(np.linalg.norm(v / big))
+    return norm
 
 
 # ---------------------------------------------------------------------------

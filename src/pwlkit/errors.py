@@ -81,6 +81,10 @@ class NonFiniteLossError(PwlError):
         super().__init__(f"non-finite value at layer {layer_index}")
 
 
+class NonFiniteFitError(PwlError):
+    """A least-squares refit's sum of squared errors overflowed."""
+
+
 class SingularSystemError(PwlError):
     """A least-squares system is rank deficient and no damping was requested."""
 

@@ -367,11 +367,11 @@ def _read_ghh(r, fields):
     terms = []
     for _ in range(_count(fields.get("terms", "0"), r)):
         tf = _fields(r.next("term:"), r)
-        affines = []
+        w, affines = _float(tf["w"], r), []
         for _ in range(_count(tf["affines"], r)):
             af = _fields(r.next("a:"), r)
             affines.append(AffineFunction(_floats(af["J"], r), _float(af["b"], r)))
-        terms.append((_float(tf["w"], r), affines))
+        terms.append((w, affines))
     return GhhModel(terms)
 
 
@@ -397,26 +397,25 @@ def _read_nested(r, fields):
 
 def _read_hlcplr(r, fields):
     from .models import HlCplrBasis
-    coords = []
+    interval, coords = _float(fields["interval"], r), []
     for _ in range(_count(fields.get("coords", "0"), r)):
         cf = _fields(r.next("c:"), r)
         coords.append((_int(cf["axis"], r), _int(cf["knot"], r)))
-    return HlCplrBasis(_count(fields["dim"], r), _float(fields["interval"], r),
-                       coords)
+    return HlCplrBasis(_count(fields["dim"], r), interval, coords)
 
 
 def _read_ahh(r, fields):
     from .models import AhhBasis, AhhModel
-    bases = []
+    intercept, bases = _float(fields["intercept"], r), []
     for _ in range(_count(fields.get("bases", "0"), r)):
         bf = _fields(r.next("basis:"), r)
-        factors = []
+        w, factors = _float(bf["w"], r), []
         for _ in range(_count(bf["factors"], r)):
             ff = _fields(r.next("f:"), r)
             factors.append((_int(ff["delta"], r), _int(ff["var"], r),
                             _float(ff["knot"], r)))
-        bases.append((_float(bf["w"], r), AhhBasis(factors)))
-    return AhhModel(_count(fields["dim"], r), _float(fields["intercept"], r), bases)
+        bases.append((w, AhhBasis(factors)))
+    return AhhModel(_count(fields["dim"], r), intercept, bases)
 
 
 def _read_sbf(r, fields):

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DegenerateSplitError, SingularSystemError
+from .errors import DegenerateSplitError, NonFiniteFitError, SingularSystemError
 from .formats import csv_text, read_csv_floats
 from .models import AhhBasis, AhhModel, HingeModel, SbfModel
 
@@ -158,6 +158,16 @@ def least_squares(X, y, ridge=0.0):
             "pass ridge > 0 to regularize"
         )
     return theta
+
+
+def _sse(residual):
+    """Sum of squares of ``residual``; NonFiniteFitError when it overflows."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        sse = float(np.sum(residual ** 2))
+    if not np.isfinite(sse):
+        raise NonFiniteFitError(f"the sum of squared errors is {sse!r}; the data are "
+                                "too large to fit")
+    return sse
 
 
 def _augment(X):
@@ -351,8 +361,7 @@ def _refit_hinges(X, y, directions, ridge):
         cols.append(np.maximum(Xa @ d, 0.0)[:, None])
     C = np.column_stack(cols)
     theta = least_squares(C, y, ridge)
-    sse = float(np.sum((C @ theta - y) ** 2))
-    return theta, sse
+    return theta, _sse(C @ theta - y)
 
 
 def _normalized(direction):
@@ -441,7 +450,7 @@ def _refine_bias(X, y, directions, k, ridge, sse):
     trial = list(directions)
     trial[k] = trial_dir
     theta, s = _refit_hinges(X, y, trial, ridge)
-    if s >= sse - 1e-15:
+    if not s < sse - 1e-15:
         return directions, None, sse, False
     return trial, theta, s, True
 
@@ -533,7 +542,7 @@ def fit_hh(data, cfg=None):
         new_dirs, th_r, sse_r, moved = refine(new_dirs, len(new_dirs) - 1, new_sse)
         if moved:
             new_theta, new_sse = th_r, sse_r
-        if new_sse > sse - cfg.tolerance:
+        if not new_sse <= sse - cfg.tolerance:
             trace.add(len(directions), sse, val_sse, "stop-no-progress")
             break
         directions, theta, sse = new_dirs, new_theta, new_sse
@@ -598,7 +607,7 @@ def _ahh_refit(X, y, bases, ridge):
 
 def _refit_columns(C, y, ridge):
     theta = least_squares(C, y, ridge)
-    return theta, float(np.sum((C @ theta - y) ** 2))
+    return theta, _sse(C @ theta - y)
 
 
 def _ahh_knots(xs):
@@ -661,7 +670,7 @@ def fit_ahh(data, cfg=None):
                 i = int(np.argmin(scan))
                 if np.isfinite(scan[i]) and (best is None or scan[i] < best[0] - 1e-15):
                     best = (float(scan[i]), parent, v, float(knots[i]))
-        if best is None or best[0] > sse - cfg.tolerance:
+        if best is None or not best[0] <= sse - cfg.tolerance:
             trace.add(len(bases), sse, val_sse_of(Bv, theta, sse), "stop-no-progress")
             break
         _, parent, v, knot = best
@@ -670,7 +679,7 @@ def fit_ahh(data, cfg=None):
                 AhhBasis(parent_factors + ((-1, v, knot),))]
         C = np.column_stack([B] + [b.values(Xt) for b in pair])
         th, s = _refit_columns(C, yt, cfg.ridge)
-        if s > sse - cfg.tolerance:
+        if not s <= sse - cfg.tolerance:
             trace.add(len(bases), sse, val_sse_of(Bv, theta, sse), "stop-no-progress")
             break
         for delta, child in zip((+1, -1), pair):
@@ -720,9 +729,9 @@ def _sbf_column(A, gamma):
 
 def _sbf_refit(C, y, ridge):
     if not C.shape[1]:
-        return np.empty(0), float(np.sum(y ** 2))
+        return np.empty(0), _sse(y)
     theta = least_squares(C, y, ridge)
-    return theta, float(np.sum((C @ theta - y) ** 2))
+    return theta, _sse(C @ theta - y)
 
 
 def fit_sbf(data, cfg=None):
@@ -770,7 +779,7 @@ def fit_sbf(data, cfg=None):
                     gamma[i] = SBF_GAMMA_GRID[j]
         C = np.column_stack([B, _sbf_column(A, gamma)])
         new_theta, new_sse = _sbf_refit(C, yt, cfg.ridge)
-        if new_sse > sse - cfg.tolerance:
+        if not new_sse <= sse - cfg.tolerance:
             trace.add(len(bases), sse, val_sse_of(Bv, theta, sse), "stop-no-progress")
             break
         bases.append((gamma, zeta))

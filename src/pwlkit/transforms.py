@@ -14,11 +14,13 @@ import numpy as np
 
 from .affine import AffineFunction, as_points, grid_points, halton
 from .conventional import (
+    CONTINUITY_RTOL,
     ConventionalPWL,
-    chebyshev_center,
+    Region,
     chebyshev_centers,
     check_consistent_variation,
     check_continuity,
+    solve_lp_blocks,
 )
 from .errors import (
     ConstructionError,
@@ -44,16 +46,11 @@ from .models import (
 DC_SIZE_CAP = 4096
 
 
-def _dedupe(rows):
-    """Sort rows lexicographically and drop exact duplicates (value-safe)."""
-    return np.unique(rows, axis=0)
-
-
 class DCForm(PwlModel):
     """Difference of two convex max-of-affines functions.
 
-    Stored as homogeneous coefficient rows ``[J | b]``; the value is
-    ``max(plus rows) - max(minus rows)``.
+    Stored as homogeneous coefficient rows ``[J | b]``, sorted and without
+    exact duplicates; the value is ``max(plus rows) - max(minus rows)``.
     """
 
     def __init__(self, plus, minus):
@@ -64,8 +61,8 @@ class DCForm(PwlModel):
                                          what="minus side")
         if plus.shape[0] == 0 or minus.shape[0] == 0:
             raise ValueError("both sides need at least one affine row")
-        self.plus = _dedupe(plus)
-        self.minus = _dedupe(minus)
+        self.plus = np.unique(plus, axis=0)
+        self.minus = np.unique(minus, axis=0)
         worst = max(self.plus.shape[0], self.minus.shape[0])
         if worst > DC_SIZE_CAP:
             raise DcSizeError(worst, DC_SIZE_CAP)
@@ -265,13 +262,15 @@ def _verify_on_grid(model, candidate, pts, what):
 
 
 def lattice_from_conventional(model, probe_density=33, box=None):
-    """Build the max-min form by probing piece dominance region by region.
+    """Build the max-min form with one LP per pair of pieces.
 
-    Row ``i`` keeps every piece that never falls below piece ``i`` on the
-    probed points of region ``i``.  The construction is verified: the
-    lattice must reproduce the model at every probe point.  Continuity is
-    checked over the model's ``domain_box``; the probe grid spans ``box``,
-    by default that same box (which needs a domain).
+    Row ``i`` holds piece ``i`` and each piece ``j`` whose minimum of
+    ``f_j - f_i`` over region ``i``, the domain and ``box`` is at least
+    ``-CONTINUITY_RTOL * max(1, |f_i|, |f_j|)`` (Tarela & Martinez).  The
+    P(P-1) LPs are solved together; a region empty within the box gets no
+    row.  The lattice equals the model when the regions tile a convex domain
+    and no piece crosses piece ``i`` inside region ``i``; a ``probe_density``
+    grid over ``box`` (by default the ``domain_box``) verifies it.
     """
     cont = check_continuity(model)
     if not cont.ok:
@@ -283,25 +282,26 @@ def lattice_from_conventional(model, probe_density=33, box=None):
         if model.domain is None:
             raise ValueError("model has no domain; pass an explicit probe box")
         box = model.domain_box()
-    pts = grid_points(*box, probe_density)
-    piece_vals = np.column_stack([p.values(pts) for p in model.pieces])
-    sets = []
-    for i in range(model.piece_count):
-        member = model.regions[i].contains_many(pts, tol=1e-9)
-        if not np.any(member):
-            center, _ = chebyshev_center(model.regions[i], box=box)
-            if center is None:
-                raise ConstructionError(f"region {i} has no feasible point inside the probe box")
-            vals_c = np.array([p.value(center) for p in model.pieces])
-            dominated = vals_c >= vals_c[i]
-        else:
-            vi = piece_vals[member, i]
-            dominated = np.all(piece_vals[member, :] >= vi[:, None], axis=0)
-        s = set(np.nonzero(dominated)[0].tolist())
-        s.add(i)
-        sets.append(sorted(s))
+    J = np.array([p.jacobian for p in model.pieces])
+    b = np.array([p.bias for p in model.pieces])
+    walls = () if model.domain is None else model.domain.halfspaces
+    forms = [Region(r.halfspaces + walls).matrix_form() for r in model.regions]
+    pairs = [(i, j) for i in range(len(J)) for j in range(len(J)) if j != i]
+    solved = solve_lp_blocks([(J[j] - J[i], -forms[i][0], -forms[i][1], list(zip(*box)))
+                              for i, j in pairs])
+    rows, empty = [[i] for i in range(len(J))], set()
+    for (i, j), (status, x) in zip(pairs, solved):
+        if status == 2:
+            empty.add(i)
+        elif status != 0:
+            raise ConstructionError(f"the LP of pieces {i} and {j} ended with status {status}")
+        elif (f := J @ x + b)[j] - f[i] >= -CONTINUITY_RTOL * max(1.0, abs(f[i]), abs(f[j])):
+            rows[i].append(j)
+    sets = [row for i, row in enumerate(rows) if i not in empty]
+    if not sets:
+        raise ConstructionError("no region meets the box")
     lattice = LatticeModel(model.pieces, sets)
-    _verify_on_grid(model, lattice, pts, "lattice construction")
+    _verify_on_grid(model, lattice, grid_points(*box, probe_density), "lattice construction")
     return lattice
 
 

@@ -7,14 +7,20 @@ import sys
 import numpy as np
 import pytest
 
-from pwlkit import ConstructionError, DcSizeError, PwlError
-from pwlkit.cli import EXIT_INPUT, EXIT_OK, EXIT_VIOLATIONS, main
+from pwlkit import ConstructionError, CoverageGapError, DcSizeError, PwlError
+from pwlkit.affine import grid_points
+from pwlkit.cli import EXIT_BUDGET, EXIT_INPUT, EXIT_OK, EXIT_VIOLATIONS, main
 from pwlkit.formats import MAX_NEST_DEPTH, deserialize, load_model
-from pwlkit.transforms import dc_from_model, lattice_from_conventional
+from pwlkit.transforms import DC_SIZE_CAP, dc_from_model, lattice_from_conventional
 
 # a continuous model on [-1, 1]^2: random heights on a 2x2 grid, each square
 # cut into two triangles along its diagonal
 TRI8 = os.path.join(os.path.dirname(__file__), "data", "tri8.txt")
+# four planes cut 15 cells from [-1, 1]^3, but the model lists 14: the cell
+# x1 < 1/8, x2 + x3 < 0, x1 - x2 + 2 x3 > -1/4, 2 x1 + x2 - x3 > 3/8, of
+# inscribed radius 0.017 about HOLE, is missing
+ARR3D = os.path.join(os.path.dirname(__file__), "data", "arr3d.txt")
+HOLE = [0.1077, 0.0888, -0.1133]
 
 
 def run(capsys, *argv):
@@ -23,20 +29,46 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
-def test_probe_lattice_of_triangulation_fails_its_check():
+def test_arrangement_fixture_has_a_hole():
+    with pytest.raises(CoverageGapError):
+        load_model(ARR3D).values([HOLE])
+
+
+def test_lattice_of_a_model_with_a_hole_fails_its_check():
     with pytest.raises(ConstructionError, match="lattice construction failed"):
-        lattice_from_conventional(load_model(TRI8))
+        lattice_from_conventional(load_model(ARR3D))
     assert issubclass(ConstructionError, PwlError)
 
 
 def test_failed_lattice_check_exits_5(capsys, tmp_path):
     out = tmp_path / "lattice.txt"
-    code, stdout, err = run(capsys, "convert", "--model", TRI8, "--to", "lattice",
+    code, stdout, err = run(capsys, "convert", "--model", ARR3D, "--to", "lattice",
                             "--out", out)
     assert code == EXIT_VIOLATIONS
     assert stdout == ""
     assert err.startswith("conversion failed: lattice construction failed "
                           "verification: max deviation ")
+    assert not out.exists()
+
+
+def test_lattice_of_triangulation_is_exact(capsys, tmp_path):
+    out = tmp_path / "lattice.txt"
+    code, stdout, err = run(capsys, "convert", "--model", TRI8, "--to", "lattice",
+                            "--out", out)
+    assert (code, err) == (EXIT_OK, "")
+    assert "max-deviation: " in stdout
+    model = load_model(TRI8)
+    pts = grid_points(*model.domain_box(), 801)
+    assert np.max(np.abs(load_model(out).values(pts) - model.values(pts))) <= 1e-9
+
+
+@pytest.mark.parametrize("target", ["dc", "ghh"])
+def test_triangulation_lowering_stops_at_the_dc_cap(capsys, tmp_path, target):
+    out = tmp_path / "out.txt"
+    code, stdout, err = run(capsys, "convert", "--model", TRI8, "--to", target,
+                            "--out", out)
+    assert (code, stdout) == (EXIT_BUDGET, "")
+    assert err == f"difference-of-convex affine set grew to 5238 rows, cap is {DC_SIZE_CAP}\n"
     assert not out.exists()
 
 

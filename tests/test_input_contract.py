@@ -250,3 +250,10 @@ def test_mutated_fixtures_end_in_contract_exits(capsys, tmp_path, name, dim):
             pytest.fail(f"{argv[0]} raised {e!r} on\n{path.read_text()}")
         assert code in CONTRACT_EXITS, (argv, err)
         assert "Traceback" not in err
+
+
+def test_mutated_arrangement_warns_nothing(capsys, tmp_path):
+    # a -1e308 Jacobian entry once overflowed the norm of a facet's jump
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        test_mutated_fixtures_end_in_contract_exits(capsys, tmp_path, "arr3d", 3)

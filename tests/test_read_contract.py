@@ -175,3 +175,29 @@ def test_header_that_disagrees_with_the_data_exits_2(capsys, tmp_path, name):
     assert code == 2
     assert out == ""
     assert err == f"cannot load model: {message}\n"
+
+
+# ---------------------------------------------------------------------------
+# a field followed by records is parsed before them
+# ---------------------------------------------------------------------------
+
+EARLY_FIELD = {
+    "ahh-intercept": ("pwl-ahh v1 dim=2 intercept=abc bases=1\nbasis: w=1.0 factors=2\n"
+                      "f: delta=1 var=0 knot=0.0\nf: delta=-1 var=1 knot=0.5\n", 1, 28),
+    "ahh-basis-w": ("pwl-ahh v1 dim=2 intercept=0.0 bases=1\nbasis: w=abc factors=2\n"
+                    "f: delta=1 var=0 knot=0.0\nf: delta=-1 var=1 knot=0.5\n", 2, 10),
+    "ghh-term-w": ("pwl-ghh v1 dim=1 terms=1\nterm: w=abc affines=2\na: J=1.0 b=0.0\n"
+                   "a: J=-1.0 b=0.0\n", 2, 9),
+    "hlcplr-interval": ("pwl-hlcplr v1 dim=2 interval=abc coords=2\nc: axis=0 knot=1\n"
+                        "c: axis=1 knot=2\n", 1, 30),
+}
+
+
+@pytest.mark.parametrize("name", sorted(EARLY_FIELD))
+def test_bad_field_before_its_records_names_its_own_line(capsys, tmp_path, name):
+    text, line, column = EARLY_FIELD[name]
+    path = tmp_path / f"{name}.txt"
+    path.write_text(text)
+    code, out, err = run(capsys, "eval", "--model", path, "--grid", "0:1:0.5")
+    assert (code, out) == (2, "")
+    assert err == f"cannot load model: bad float 'abc' (line {line}, column {column})\n"
