@@ -6,7 +6,7 @@ import math
 
 import numpy as np
 
-from .errors import DimensionMismatchError
+from .errors import DimensionMismatchError, NonFiniteValueError
 
 
 def as_vector(v, name="vector"):
@@ -30,6 +30,17 @@ def as_points(points, dim):
     if points.shape[1] != dim:
         raise DimensionMismatchError(dim, points.shape[1], what="points")
     return points
+
+
+def finite_values(model, points, what="the model"):
+    """``model.values(points)`` of an (N, dim) array, or NonFiniteValueError
+    naming the first finite point where a value is not finite."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        values = model.values(points)
+    bad = ~np.isfinite(values) & np.all(np.isfinite(points), axis=1)
+    if np.any(bad):
+        raise NonFiniteValueError(points[np.argmax(bad)], what)
+    return values
 
 
 def mesh_points(axes):

@@ -26,6 +26,7 @@ from .errors import (
     CoverageGapError,
     DcSizeError,
     DiscontinuousModelError,
+    NonFiniteValueError,
     NotCplrRepresentableError,
     ParseError,
     PwlError,
@@ -285,7 +286,7 @@ def cmd_fit(args):
 
 
 def cmd_eval(args):
-    from .affine import mesh_points
+    from .affine import finite_values, mesh_points
     from .formats import TextChunks, read_csv_floats, write_text_atomic
     model = _load(args.model)
     axes = None
@@ -301,7 +302,7 @@ def cmd_eval(args):
     blocks = ()
     if points.shape[0]:
         try:
-            values = model.values(points)
+            values = finite_values(model, points)
         except PwlError as e:
             raise CliError(EXIT_INPUT, f"evaluation failed: {e}") from e
         if axes is None:
@@ -414,7 +415,8 @@ def cmd_convert(args):
     except NotCplrRepresentableError as e:
         raise CliError(EXIT_NOT_REPRESENTABLE, "not representable; certificate "
                        f"hyperplane: {e.certificate}") from e
-    except (CoverageGapError, DiscontinuousModelError, ValueError) as e:
+    except (CoverageGapError, DiscontinuousModelError, NonFiniteValueError,
+            ValueError) as e:
         raise CliError(EXIT_INPUT, f"conversion failed: {e}") from e
     except ConstructionError as e:
         raise CliError(EXIT_VIOLATIONS, f"conversion failed: {e}") from e
@@ -499,8 +501,11 @@ def cmd_equiv(args):
         raise CliError(EXIT_INPUT, f"dimension mismatch: {a.dim} vs {b.dim}")
     box = _parse_box(args.box, a.dim)
     _check_density(args.density, a.dim)
-    report = check_equivalence(a, b, box, grid_density=args.density,
-                               tolerance=args.tolerance)
+    try:
+        report = check_equivalence(a, b, box, grid_density=args.density,
+                                   tolerance=args.tolerance)
+    except PwlError as e:
+        raise CliError(EXIT_INPUT, f"evaluation failed: {e}") from e
     print(report)
     return EXIT_OK if report.equivalent else EXIT_VIOLATIONS
 

@@ -81,6 +81,15 @@ class NonFiniteLossError(PwlError):
         super().__init__(f"non-finite value at layer {layer_index}")
 
 
+class NonFiniteValueError(PwlError):
+    """A model's value is not finite at a finite point: its terms overflow."""
+
+    def __init__(self, point, what="the model"):
+        self.point = point
+        super().__init__(f"{what}'s value is not finite at the point "
+                         f"{[float(v) for v in point]}")
+
+
 class NonFiniteFitError(PwlError):
     """A least-squares refit's sum of squared errors overflowed."""
 

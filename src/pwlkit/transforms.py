@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .affine import AffineFunction, as_points, grid_points, halton
+from .affine import AffineFunction, as_points, finite_values, grid_points, halton
 from .conventional import (
     CONTINUITY_RTOL,
     ConventionalPWL,
@@ -397,6 +397,7 @@ def check_equivalence(a, b, box, grid_density=33, tolerance=1e-9, qmc_samples=51
     if qmc_samples > 0:
         extra = lo + halton(qmc_samples, a.dim, seed=11) * (hi - lo)
         pts = np.vstack([pts, extra])
-    dev = np.abs(a.values(pts) - b.values(pts))
+    dev = np.abs(finite_values(a, pts, "the first model")
+                 - finite_values(b, pts, "the second model"))
     k = int(np.argmax(dev))
     return EquivalenceReport(float(dev[k]), pts[k], pts.shape[0], float(tolerance))

@@ -1,11 +1,12 @@
 """The CLI starts without scipy, and a command loads only the pwlkit
 modules it calls.
 
-Only the facet and box LPs and the null spaces use scipy, and they import
-it where they are called; the Halton sweeps are drawn without it.  The
-package's names are imported on first use, and each command imports the
-library modules it calls when it runs.  Each test runs the CLI in a fresh
-interpreter, so modules loaded by other tests do not count.
+The region LPs are solved by a numpy kernel, and the Halton sweeps are
+drawn without scipy; only an LP too large for the kernel imports scipy,
+where it is solved.  The package's names are imported on first use, and
+each command imports the library modules it calls when it runs.  Each test
+runs the CLI in a fresh interpreter, so modules loaded by other tests do not
+count.
 """
 
 import json
@@ -146,8 +147,7 @@ def test_analysis_free_commands_load_no_scipy(files):
     assert result["scipy"] == []
 
 
-def test_analysis_commands_load_scipy_when_called(files, capsys, tent_corrected,
-                                                  plateau2d):
+def test_validate_and_convert_load_no_scipy(files, capsys, tent_corrected, plateau2d):
     d = files["dir"]
     save_model(tent_corrected, d / "tent.txt")
     save_model(plateau2d, d / "plateau.txt")
@@ -160,8 +160,7 @@ def test_analysis_commands_load_scipy_when_called(files, capsys, tent_corrected,
     ]
     result = fresh(*argvs)
     assert result["codes"] == [0, 0, 0]
-    assert "scipy.optimize" in result["scipy"]
-    assert not [m for m in result["scipy"] if m.startswith("scipy.stats")]
+    assert result["scipy"] == []
 
     codes = [main([str(a) for a in argv]) for argv in argvs]
     assert codes == [0, 0, 0]
@@ -229,5 +228,6 @@ def test_command_loads_only_the_modules_it_calls(files, tent_corrected, name):
     argv = [d / a if str(a).endswith((".txt", ".csv")) else a for a in argv]
     result = fresh(argv)
     assert result["codes"] == [0]
+    assert result["scipy"] == []
     assert result["pwlkit"] == sorted(["pwlkit", "pwlkit.cli", "pwlkit.errors",
                                        *(f"pwlkit.{m}" for m in modules)])

@@ -222,13 +222,18 @@ def test_a_steep_normal_jump_does_not_hide_an_in_plane_one(dim):
 # ---------------------------------------------------------------------------
 
 def test_3d_validate_makes_one_facet_solve(monkeypatch, capsys):
-    calls = {"all": 0, "facet": 0}
+    calls = {"all": 0, "facet": 0, "highs": 0}
     facet_phase = []
-    linprog, facet_interiors = conventional.linprog, conventional._facet_interiors
+    solve, facet_interiors = conventional.solve_lp_blocks, conventional._facet_interiors
+    linprog = conventional.linprog
+
+    def counting_solve(blocks):     # a call with no LP solves nothing
+        calls["all"] += bool(blocks)
+        calls["facet"] += bool(blocks) and bool(facet_phase)
+        return solve(blocks)
 
     def counting_linprog(*args, **kwargs):
-        calls["all"] += 1
-        calls["facet"] += bool(facet_phase)
+        calls["highs"] += 1
         return linprog(*args, **kwargs)
 
     def marked_facet_interiors(*args, **kwargs):
@@ -238,13 +243,15 @@ def test_3d_validate_makes_one_facet_solve(monkeypatch, capsys):
         finally:
             facet_phase.pop()
 
+    monkeypatch.setattr(conventional, "solve_lp_blocks", counting_solve)
     monkeypatch.setattr(conventional, "linprog", counting_linprog)
     monkeypatch.setattr(conventional, "_facet_interiors", marked_facet_interiors)
     assert main(["validate", "--model", str(ARR3D)]) == 0
     out = capsys.readouterr().out
     assert "facets: 24\ncontinuity-violations: 0\n" in out
     assert "consistent-variation: yes" in out
-    assert calls == {"all": 2, "facet": 1}     # the domain's box, the facets
+    # the domain's box, the facets; no LP goes to HiGHS
+    assert calls == {"all": 2, "facet": 1, "highs": 0}
 
 
 def test_pieces_that_overflow_to_nan_on_the_facet_are_flagged():

@@ -49,13 +49,13 @@ def reference_find_facets(model):
 
 
 def reference_facet_interior(alpha, beta, joint, box):
-    """A facet's ``(center, radius)`` from its own LP in its own ``linprog``
-    call, or ``(None, -inf)`` where there is none."""
+    """A facet's ``(center, radius)`` from its own LP solved alone, or
+    ``(None, -inf)`` where there is none."""
     x0, N, block = conventional._facet_lp(alpha, beta, joint, box)
     if block is None:
         return (None, -np.inf) if x0 is None else (x0, 0.0)
     k = N.shape[1]
-    ((status, x),) = conventional._solve_alone([block])
+    ((status, x),) = conventional.solve_lp_blocks([block])
     if status != 0 or float(x[k]) < conventional.FEASIBILITY_TOL:
         return None, -np.inf
     return x0 + N @ x[:k], float(x[k])

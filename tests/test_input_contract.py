@@ -208,6 +208,67 @@ def test_conversion_that_overflows_exits_2_and_writes_nothing(capsys, tmp_path, 
     assert not (tmp_path / "out.txt").exists()
 
 
+def test_eval_of_values_that_overflow_exits_2(capsys, tmp_path):
+    path = tmp_path / "model.txt"
+    path.write_text(OVERFLOWING["dc"])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(capsys, "eval", "--model", path, "--grid=-1:1:1,-1:1:1")
+    assert (code, out) == (2, "")
+    assert err == ("evaluation failed: the model's value is not finite at the point "
+                   "[-1.0, -1.0]\n")
+
+
+def test_equiv_of_values_that_overflow_exits_2(capsys, tmp_path):
+    path = tmp_path / "model.txt"
+    path.write_text(OVERFLOWING["dc"])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(capsys, "equiv", "--model-a", path, "--model-b", path,
+                             "--box=-1:1,-1:1")
+    assert (code, out) == (2, "")
+    assert err == ("evaluation failed: the first model's value is not finite at the "
+                   "point [-1.0, -1.0]\n")
+
+
+def test_conversion_whose_values_overflow_exits_2(capsys, tmp_path):
+    # finite coefficients, and a finite DC form, but 1e308 x1 + 1e308 x2
+    # overflows at the grid's corners
+    path = tmp_path / "model.txt"
+    path.write_text("pwl-hh v1 dim=2 hinges=1\naffine: alpha=1e+308,1e+308 beta=0.0\n"
+                    "hinge: w=1.0 alpha=1.0,-1.0 beta=0.0\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(capsys, "convert", "--model", path, "--to", "dc",
+                             "--out", tmp_path / "out.txt")
+    assert (code, out) == (2, "")
+    assert err == ("conversion failed: the first model's value is not finite at the "
+                   "point [-1.0, -1.0]\n")
+    assert not (tmp_path / "out.txt").exists()
+
+
+def test_finite_values_keep_their_bytes(capsys, tmp_path):
+    # the same model with its leaves at 1e300: large values, all finite
+    path = tmp_path / "model.txt"
+    path.write_text(OVERFLOWING["dc"].replace("1e308", "1e300"))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, _ = run(capsys, "eval", "--model", path, "--grid=-1:1:1,-1:1:1")
+        assert code == 0 and "nan" not in out and "inf" not in out
+        assert run(capsys, "equiv", "--model-a", path, "--model-b", path,
+                   "--box=-1:1,-1:1")[:2] == (
+            0, "max-abs-deviation: 0.0\nargmax-point: -1.0,-1.0\nsample-count: 1601\n"
+               "tolerance: 1e-09\nequivalent: yes\n")
+
+
+def test_equiv_beyond_the_regions_exits_2(capsys):
+    tri8 = DATA / "tri8.txt"
+    code, out, err = run(capsys, "equiv", "--model-a", tri8, "--model-b", tri8,
+                         "--box=-3:1,-1:1")
+    assert (code, out) == (2, "")
+    assert err == "evaluation failed: no region contains the point [-3.0, -1.0]\n"
+
+
 # ---------------------------------------------------------------------------
 # Seeded mutations of the committed fixtures
 # ---------------------------------------------------------------------------
