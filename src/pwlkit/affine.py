@@ -6,7 +6,7 @@ import math
 
 import numpy as np
 
-from .errors import DimensionMismatchError, NonFiniteValueError
+from .errors import DimensionMismatchError, InvalidInputError, NonFiniteValueError
 
 
 def as_vector(v, name="vector"):
@@ -30,6 +30,24 @@ def as_points(points, dim):
     if points.shape[1] != dim:
         raise DimensionMismatchError(dim, points.shape[1], what="points")
     return points
+
+
+def as_box(box, dim):
+    """Coerce a ``(lo, hi)`` pair to two (dim,) float arrays, or raise
+    InvalidInputError unless both are finite and ``lo < hi`` on every axis."""
+    try:
+        lo, hi = (np.atleast_1d(np.asarray(b, dtype=float)) for b in box)
+    except (TypeError, ValueError) as e:
+        raise InvalidInputError(f"a box is a (lo, hi) pair of bounds: {e}") from None
+    if lo.shape != (dim,) or hi.shape != (dim,):
+        raise InvalidInputError(f"box bounds have shapes {lo.shape} and {hi.shape}, "
+                                f"expected ({dim},)")
+    if not (np.all(np.isfinite(lo)) and np.all(np.isfinite(hi))):
+        raise InvalidInputError(f"box bounds {lo.tolist()} and {hi.tolist()} are not finite")
+    if not np.all(lo < hi):
+        raise InvalidInputError(f"box bounds {lo.tolist()} and {hi.tolist()} are not "
+                                "lo < hi on every axis")
+    return lo, hi
 
 
 def finite_values(model, points, what="the model"):

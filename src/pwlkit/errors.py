@@ -16,6 +16,11 @@ class DimensionMismatchError(PwlError):
         )
 
 
+class InvalidInputError(PwlError, ValueError):
+    """An argument is malformed: a box that is not finite or not lo < hi on
+    every axis, or a grid density below 1."""
+
+
 class CoverageGapError(PwlError):
     """A query point is contained in no region of a region-wise model."""
 

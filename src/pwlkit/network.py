@@ -13,14 +13,16 @@ reproduces the forward pass bit for bit.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 from math import comb, isfinite
 
 import numpy as np
 
-from .affine import as_points, grid_points
+from .affine import as_box, as_points, grid_points
 from .errors import (
     BudgetExceededError,
     DimensionMismatchError,
+    InvalidInputError,
     NonFiniteLossError,
 )
 
@@ -79,11 +81,13 @@ class Activation:
         raise NotImplementedError
 
     def restrict(self, J, c, code):
-        """Compose the pre-activation map ``z = J x + c`` with a frozen branch."""
-        slope, intercept = self.affine_view(code[None, :])
-        slope = np.asarray(slope, dtype=float).ravel()
-        intercept = np.asarray(intercept, dtype=float).ravel()
-        return slope[:, None] * J, slope * c + intercept
+        """Compose the pre-activation map ``z = J x + c`` with a frozen branch.
+
+        ``code`` may stack patterns, ``(..., width)``, with ``J`` of shape
+        ``(..., width, n)`` and ``c`` of shape ``(..., width)``."""
+        slope, intercept = self.affine_view(code)
+        slope = np.asarray(slope, dtype=float)
+        return slope[..., None] * J, slope * c + intercept
 
     def backprop(self, z, pattern, upstream):
         """d(loss)/d(pre-activation) from d(loss)/d(output)."""
@@ -364,7 +368,8 @@ class Maxout(Activation):
 
     def restrict(self, J, c, code):
         rows = np.asarray(code, dtype=int) + np.arange(self.width) * self.k
-        return J[rows], c[rows]
+        return (np.take_along_axis(J, rows[..., None], axis=-2),
+                np.take_along_axis(c, rows, axis=-1))
 
     def kinks(self, code):
         """One row ``z[other] - z[top]`` per unit and losing slot."""
@@ -796,25 +801,33 @@ def local_affine_map(net, pattern):
     Built deterministically from the pattern and the parameters alone, so
     equal patterns give bit-identical coefficients.
     """
-    for _act, _code, J, c in _pre_activation_maps(net, pattern):
-        pass    # the output layer is affine: its pre-activation is the output
-    return J, c
+    # the output layer is affine: its pre-activation is the output
+    J, c = _compose(net, [code[None, :] for code in pattern.codes])[-1]
+    return J[0], c[0]
 
 
-def _pre_activation_maps(net, pattern):
-    """Per layer ``(activation, code, J, c)``: ``z = J x + c`` on the region."""
+def _compose(net, codes):
+    """Each layer's pre-activation map ``z = J[r] x + c[r]`` on the regions of
+    R patterns, as ``(J, c)`` of shapes ``(R, rows, n)`` and ``(R, rows)``.
+
+    ``codes`` holds per hidden layer the ``(R, width)`` codes of the patterns
+    (R is 1 for a net without hidden units, whose one pattern has no codes).
+    A stacked ``np.matmul`` makes, per pattern, the BLAS call that the
+    pattern's own 2-D product makes, so each pattern's maps have the bits of
+    its composition alone."""
     n = net.in_dim
-    J = np.eye(n)
-    c = np.zeros(n)
-    codes = iter(pattern.codes)
+    R = codes[0].shape[0] if codes else 1
+    J = np.broadcast_to(np.eye(n), (R, n, n))
+    c = np.zeros((R, n))
+    codes = iter(codes)
+    maps = []
     for layer in net.layers:
-        J = layer.weight @ J
-        c = layer.weight @ c + layer.bias
-        act = layer.activation
-        code = None if act is None else next(codes)
-        yield act, code, J, c
-        if act is not None:
-            J, c = act.restrict(J, c, code)
+        J = np.matmul(layer.weight, J)
+        c = np.matmul(layer.weight, c[..., None])[..., 0] + layer.bias
+        maps.append((J, c))
+        if layer.activation is not None:
+            J, c = layer.activation.restrict(J, c, next(codes))
+    return maps
 
 
 def masked_forward(net, pattern, x):
@@ -844,9 +857,14 @@ def _patterns_of_batch(net, X):
     return [ActivationPattern(tuple(p[i] for p in per_layer)) for i in range(X.shape[0])]
 
 
-def _distinct_patterns(net, X):
-    """``(pattern, first row)`` per distinct pattern at the rows of X, in order
-    of first appearance; one forward pass, the layers' own code dtypes kept."""
+def _distinct_patterns(net, X, owner=None):
+    """The first row of each distinct pattern at the rows of X, in order of
+    first appearance, found in one forward pass: those rows' codes per hidden
+    layer (the layers' own dtypes), their codes as one opaque key each, and
+    their indices.
+
+    With ``owner`` (a nondecreasing group index per row) a pattern is
+    distinct per group: the first rows are those of each group in turn."""
     X, per_layer = _hidden_codes(net, X)
     # the integer codes of a row as one opaque item: np.unique sorts these far
     # faster than along axis=0, with the same first index per distinct row.
@@ -855,10 +873,13 @@ def _distinct_patterns(net, X):
     # layer's codes (int8 for the relu family), and the common dtype holds
     # every code exactly, so equal rows are equal items.
     codes = np.concatenate([np.zeros((X.shape[0], 1), np.int8)] + per_layer, axis=1)
-    rows = codes.view(np.dtype((np.void, codes.itemsize * codes.shape[1])))[:, 0]
-    first = np.sort(np.unique(rows, return_index=True)[1])
-    return [(ActivationPattern(tuple(p[i] for p in per_layer)), X[i].copy())
-            for i in first]
+    keys = codes.view(np.dtype((np.void, codes.itemsize * codes.shape[1])))[:, 0]
+    items = keys
+    if owner is not None:
+        ids = np.unique(keys, return_inverse=True)[1]
+        items = owner * (np.max(ids, initial=0) + 1) + ids
+    first = np.sort(np.unique(items, return_index=True)[1])
+    return [p[first] for p in per_layer], keys[first], first
 
 
 def _pattern_margin(net, x):
@@ -904,33 +925,27 @@ def count_regions(net, box, method="pattern-enumeration", grid_density=None):
     walk from a coarse grid reaches by stepping just across each unit's local
     boundary; it refuses nets above the enumeration budget.
     """
-    lo = np.atleast_1d(np.asarray(box[0], dtype=float))
-    hi = np.atleast_1d(np.asarray(box[1], dtype=float))
     n = net.in_dim
+    lo, hi = as_box(box, n)
+    if grid_density is not None and not grid_density >= 1:
+        raise InvalidInputError(f"grid density {grid_density!r} is below 1")
     if method == "grid-probe":
-        density = grid_density or (201 if n <= 2 else 31)
+        X = grid_points(lo, hi, grid_density or (201 if n <= 2 else 31))
+        codes, _, first = _distinct_patterns(net, X)
+        J, c = _compose(net, codes)[-1]
         seen = {}
-        for pat, x in _distinct_patterns(net, grid_points(lo, hi, density)):
-            J, c = local_affine_map(net, pat)
-            seen.setdefault((J.tobytes(), c.tobytes()), RegionCertificate(x, J, c))
+        for i, Ji, ci in zip(first, J, c):
+            seen.setdefault((Ji.tobytes(), ci.tobytes()),
+                            RegionCertificate(X[i].copy(), Ji, ci))
         certs = list(seen.values())
         return RegionCount(len(certs), method, certs, _arrangement_bound(net))
     if method != "pattern-enumeration":
         raise ValueError(f"unknown method {method!r}")
     if net.hidden_unit_count > ENUMERATION_BUDGET:
         raise BudgetExceededError(net.hidden_unit_count, ENUMERATION_BUDGET)
-
-    density = grid_density or (41 if n <= 2 else 11)
-    seen = dict(_distinct_patterns(net, grid_points(lo, hi, density)))
-    queue = list(seen.items())
-    span = float(np.max(hi - lo))
-    while queue:
-        crossings = _boundary_crossings(net, *queue.pop(), lo, hi, span)
-        for pat, x in _distinct_patterns(net, crossings):
-            if pat not in seen:
-                seen[pat] = x
-                queue.append((pat, x))
-    certs = [RegionCertificate(x, *local_affine_map(net, pat)) for pat, x in seen.items()]
+    walk = _Walk(net, lo, hi)
+    walk.run(grid_points(lo, hi, grid_density or (41 if n <= 2 else 11)))
+    certs = [RegionCertificate(x, *m) for x, m in zip(walk.points, walk.maps)]
     return RegionCount(len(certs), method, certs, _arrangement_bound(net))
 
 
@@ -943,23 +958,96 @@ def _arrangement_bound(net):
     return None
 
 
-def _boundary_crossings(net, pattern, x, lo, hi, span):
-    """Points just across each unit's local boundary, two overshoots per row."""
-    out = [np.empty((0, x.shape[0]))]
-    for act, code, Jz, cz in _pre_activation_maps(net, pattern):
-        if act is None:
-            continue
-        D, t = act.kinks(code)
-        # boundary r is the hyperplane D[r] . (Jz x + cz) = t[r] on this region
-        G, gval = D @ Jz, D @ (Jz @ x + cz) - t
-        # one dot product per row: a batched reduction rounds differently
-        norm2 = np.array([g @ g for g in G])
+# Regions whose boundary crossings one batch of the walk computes at most; it
+# bounds the batch's arrays for wide nets in n-D.
+WALK_BATCH = 32
+
+
+class _Walk:
+    """The depth-first boundary walk of ``pattern-enumeration``, in batches.
+
+    Region r, numbered in order of discovery, is its activation pattern
+    (``codes[r]``, one row per hidden layer) and its witness ``points[r]``.
+    Popping region r replays the distinct patterns of the points just across
+    its local boundaries, in order of first appearance, and queues those not
+    yet seen.  Those patterns depend on the region's pattern and witness
+    alone, both fixed when it is found, so whenever a popped region has not
+    been computed, it is computed together with up to ``WALK_BATCH - 1``
+    queued regions nearest the top that have not been either: one stacked
+    composition and one forward pass per batch, and the same pops, regions
+    and witnesses as a walk that computes each region when it is popped.
+    """
+
+    def __init__(self, net, lo, hi):
+        self.net, self.lo, self.hi = net, lo, hi
+        self.span = float(np.max(hi - lo))
+        self.seen = {}          # code-row bytes -> region number
+        self.points, self.codes = [], []
+        self.maps = []          # (J, c) of the network map, once computed
+        self.queue = []
+        self.found = {}         # computed, unpopped region -> its crossings' patterns
+
+    def first_rows(self, X, owner=None, groups=1):
+        """Per group of rows of X, the arguments of ``add`` for its distinct
+        patterns: the first rows' codes per hidden layer, keys (bytes) and
+        points, all copies, so the arrays of X's rows are freed."""
+        codes, keys, first = _distinct_patterns(self.net, X, owner)
+        kept = (codes, keys.tolist(), X[first])
+        bounds = ([0, len(first)] if owner is None
+                  else np.searchsorted(owner[first], np.arange(groups + 1)))
+        return [(*kept, range(a, b)) for a, b in zip(bounds[:-1], bounds[1:])]
+
+    def add(self, per_layer, keys, X, rows):
+        """Number and queue the patterns of the given rows not yet seen,
+        each with a copy of its point and codes."""
+        for i in rows:
+            if keys[i] not in self.seen:
+                self.seen[keys[i]] = len(self.points)
+                self.queue.append(len(self.points))
+                self.points.append(X[i].copy())
+                self.codes.append([p[i].copy() for p in per_layer])
+                self.maps.append(None)
+
+    def run(self, X):
+        """Walk from the distinct patterns at the rows of X."""
+        self.add(*self.first_rows(X)[0])
+        while self.queue:
+            r = self.queue.pop()
+            if r not in self.found:
+                rest = (q for q in reversed(self.queue) if q not in self.found)
+                self._compute([r, *islice(rest, WALK_BATCH - 1)])
+            self.add(*self.found.pop(r))
+
+    def _compute(self, batch):
+        """Compose the batch's regions and find the distinct patterns just
+        across each one's local boundaries."""
+        net, n = self.net, self.net.in_dim
+        X = np.array([self.points[r] for r in batch])
+        codes = [np.array(rows) for rows in zip(*(self.codes[r] for r in batch))]
+        maps = _compose(net, codes)
+        J, c = maps[-1]
+        for b, r in enumerate(batch):
+            self.maps[r] = (J[b], c[b])
+        # boundary k of region b is the hyperplane D[b, k] . (J[b] x + c[b]) = t[b, k]
+        G, gval = [np.empty((len(batch), 0, n))], [np.empty((len(batch), 0))]
+        hidden = [(l.activation, m) for l, m in zip(net.layers, maps) if l.activation]
+        for (act, (Jz, cz)), code in zip(hidden, codes):
+            D, t = (np.array(a) for a in zip(*map(act.kinks, code)))
+            G.append(np.matmul(D, Jz))
+            z = np.matmul(Jz, X[:, :, None])[..., 0] + cz
+            gval.append(np.matmul(D, z[..., None])[..., 0] - t)
+        G, gval = np.concatenate(G, axis=1), np.concatenate(gval, axis=1)
+        # one dot product per row, a (1 x n) @ (n x 1) product: a batched
+        # reduction rounds differently
+        norm2 = np.matmul(G[..., None, :], G[..., None])[..., 0, 0]
         keep = ~(norm2 <= 1e-18)
         G, gval, norm2 = G[keep], gval[keep], norm2[keep]
+        owner = np.repeat(np.arange(len(batch)), np.count_nonzero(keep, axis=1))
         # step across the local hyperplane with a small, then a larger overshoot
         side = np.where(gval == 0, 1.0, np.sign(gval))
-        shift = side[:, None] * (np.array([1e-7, 1e-4]) * span)
+        shift = side[:, None] * (np.array([1e-7, 1e-4]) * self.span)
         step = (gval[:, None] + shift) / norm2[:, None]
-        out.append(np.clip(x - step[:, :, None] * G[:, None, :], lo, hi)
-                   .reshape(-1, x.shape[0]))
-    return np.concatenate(out)
+        cross = np.clip(X[owner][:, None, :] - step[:, :, None] * G[:, None, :],
+                        self.lo, self.hi).reshape(-1, n)
+        self.found.update(zip(batch, self.first_rows(cross, np.repeat(owner, 2),
+                                                     len(batch))))

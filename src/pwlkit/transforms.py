@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .affine import AffineFunction, as_points, finite_values, grid_points, halton
+from .affine import AffineFunction, as_box, as_points, finite_values, grid_points, halton
 from .conventional import (
     CONTINUITY_RTOL,
     ConventionalPWL,
@@ -390,9 +390,7 @@ def check_equivalence(a, b, box, grid_density=33, tolerance=1e-9, qmc_samples=51
     """Max deviation between two evaluables over a grid plus Halton sweep."""
     if a.dim != b.dim:
         raise DimensionMismatchError(a.dim, b.dim, what="second model")
-    lo, hi = box
-    lo = np.atleast_1d(np.asarray(lo, dtype=float))
-    hi = np.atleast_1d(np.asarray(hi, dtype=float))
+    lo, hi = as_box(box, a.dim)
     pts = grid_points(lo, hi, grid_density)
     if qmc_samples > 0:
         extra = lo + halton(qmc_samples, a.dim, seed=11) * (hi - lo)

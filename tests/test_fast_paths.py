@@ -126,20 +126,24 @@ def test_distinct_patterns_match_unique_rows(kind, config, sizes):
     _, per_layer = _hidden_codes(net, X)
     codes = np.concatenate(per_layer, axis=1)
     first = np.sort(np.unique(codes, axis=0, return_index=True)[1])
-    got = _distinct_patterns(net, X)
+    got_codes, keys, got = _distinct_patterns(net, X)
     assert len(first) > 1
-    assert [x.tobytes() for _, x in got] == [X[i].tobytes() for i in first]
-    for (pat, _), i in zip(got, first):
-        assert [c.tobytes() for c in pat.codes] == [p[i].tobytes() for p in per_layer]
+    assert got.tolist() == first.tolist()
+    assert [(c.dtype, c.tobytes()) for c in got_codes] == \
+        [(p.dtype, p[first].tobytes()) for p in per_layer]
+    assert len(set(keys.tolist())) == len(first)
+    # with every row its own group, each row is a first row
+    _, _, each = _distinct_patterns(net, X, owner=np.arange(X.shape[0]))
+    assert each.tolist() == list(range(X.shape[0]))
 
 
 def test_distinct_patterns_without_hidden_units():
     net = network_from_sizes([2, 1])
     init_params(net, seed=0)
     X = grid_points([-1.0, -1.0], [1.0, 1.0], 5)
-    got = _distinct_patterns(net, X)
-    assert len(got) == 1 and got[0][1].tobytes() == X[0].tobytes()
-    assert _distinct_patterns(net, X[:0]) == []
+    codes, _, first = _distinct_patterns(net, X)
+    assert codes == [] and first.tolist() == [0]
+    assert _distinct_patterns(net, X[:0])[2].tolist() == []
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
-"""Malformed model files and oversized grids end in contract exit codes, and
-maxout groups of any size evaluate the right slot."""
+"""Malformed model files and oversized grids end in contract exit codes,
+maxout groups of any size evaluate the right slot, and the library refuses
+boxes and grid densities it cannot analyse."""
 
 import re
 import tracemalloc
@@ -10,8 +11,17 @@ import numpy as np
 import pytest
 
 from pwlkit.cli import MAX_GRID_POINTS, UsageError, _parse_grid, main
+from pwlkit.errors import InvalidInputError, PwlError
 from pwlkit.formats import ParseError, deserialize, save_model, serialize
-from pwlkit.network import Layer, Maxout, PwlNetwork, network_from_sizes
+from pwlkit.network import (
+    Layer,
+    Maxout,
+    PwlNetwork,
+    count_regions,
+    init_params,
+    network_from_sizes,
+)
+from pwlkit.transforms import check_equivalence
 
 
 def run(capsys, *argv):
@@ -318,3 +328,59 @@ def test_mutated_arrangement_warns_nothing(capsys, tmp_path):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         test_mutated_fixtures_end_in_contract_exits(capsys, tmp_path, "arr3d", 3)
+
+
+# ---------------------------------------------------------------------------
+# Boxes and grid densities in the library
+# ---------------------------------------------------------------------------
+
+BAD_BOXES = {
+    "reversed": ([1.0, 1.0], [-1.0, -1.0]),
+    "one-axis-flat": ([-1.0, 0.5], [1.0, 0.5]),
+    "nan-lower-bound": ([np.nan, -1.0], [1.0, 1.0]),
+    "inf-upper-bound": ([-1.0, -1.0], [1.0, np.inf]),
+    "wrong-dimension": ([-1.0, -1.0, -1.0], [1.0, 1.0, 1.0]),
+    "not-a-pair": ([-1.0, -1.0],),
+    "not-numbers": (["a", "b"], [1.0, 1.0]),
+}
+
+
+def small_relu_net():
+    net = network_from_sizes([2, 8, 1], "relu")
+    init_params(net, seed=1)
+    net.layers[0].bias[...] = np.random.default_rng(1).uniform(-0.5, 0.5, 8)
+    return net
+
+
+@pytest.mark.parametrize("method", ["grid-probe", "pattern-enumeration"])
+@pytest.mark.parametrize("name", sorted(BAD_BOXES))
+def test_count_regions_refuses_a_bad_box(name, method):
+    with pytest.raises(InvalidInputError) as info:
+        count_regions(small_relu_net(), BAD_BOXES[name], method=method)
+    assert isinstance(info.value, PwlError) and isinstance(info.value, ValueError)
+
+
+@pytest.mark.parametrize("density", [0, -3, np.nan])
+def test_count_regions_refuses_a_grid_density_below_1(density):
+    for method in ("grid-probe", "pattern-enumeration"):
+        with pytest.raises(InvalidInputError, match="grid density"):
+            count_regions(small_relu_net(), ([-1.0, -1.0], [1.0, 1.0]), method=method,
+                          grid_density=density)
+
+
+@pytest.mark.parametrize("name", sorted(BAD_BOXES))
+def test_check_equivalence_refuses_a_bad_box(name):
+    net = small_relu_net()
+    with pytest.raises(InvalidInputError):
+        check_equivalence(net, net, BAD_BOXES[name])
+
+
+def test_good_boxes_of_lists_arrays_and_scalars_are_accepted():
+    net = small_relu_net()
+    listed = count_regions(net, ([-1.0, -1.0], [1.0, 1.0]))
+    arrays = count_regions(net, (np.full(2, -1.0), np.full(2, 1.0)))
+    assert listed.count == arrays.count > 1
+    assert check_equivalence(net, net, ([-1.0, -1.0], [1.0, 1.0])).equivalent
+    line = network_from_sizes([1, 3, 1], "relu")
+    init_params(line, seed=0)
+    assert count_regions(line, (-1.0, 1.0)).count >= 1

@@ -1,6 +1,7 @@
-"""Region analysis seeds from distinct activation patterns: one affine map per
-pattern on the grid probe, one forward pass per walk step, and certificates
-byte-identical to the per-point analysis kept here as the reference."""
+"""Region analysis seeds from distinct activation patterns: one composed map
+per pattern on the grid probe and per region on the walk, at most one forward
+pass per region, and certificates byte-identical to the per-point analysis
+kept here as the reference."""
 
 import numpy as np
 import pytest
@@ -9,13 +10,11 @@ import pwlkit.network as network
 from pwlkit.affine import grid_points
 from pwlkit.network import (
     ENUMERATION_BUDGET,
-    ActivationPattern,
     PwlNetwork,
     RegionCertificate,
     _distinct_patterns,
     _hidden_codes,
     _patterns_of_batch,
-    _pre_activation_maps,
     count_regions,
     init_params,
     local_affine_map,
@@ -53,9 +52,24 @@ def shallow_relu_net(seed):
 # Reference: the per-point analysis, one pattern and one map per point
 # ---------------------------------------------------------------------------
 
+def reference_maps(net, pattern):
+    """Per layer ``(activation, code, J, c)``: ``z = J x + c`` on the region,
+    composed by 2-D products for this one pattern."""
+    J, c = np.eye(net.in_dim), np.zeros(net.in_dim)
+    codes = iter(pattern.codes)
+    for layer in net.layers:
+        J = layer.weight @ J
+        c = layer.weight @ c + layer.bias
+        act = layer.activation
+        code = None if act is None else next(codes)
+        yield act, code, J, c
+        if act is not None:
+            J, c = act.restrict(J, c, code)
+
+
 def reference_crossings(net, pattern, x, lo, hi, span):
     out = []
-    for act, code, Jz, cz in _pre_activation_maps(net, pattern):
+    for act, code, Jz, cz in reference_maps(net, pattern):
         if act is None:
             continue
         D, t = act.kinks(code)
@@ -114,13 +128,12 @@ def test_certificates_match_per_point_reference(kind, config, sizes, method):
 
 
 def distinct_patterns_int64(net, X):
-    """``_distinct_patterns`` with every row widened to int64 before dedup."""
+    """``_distinct_patterns``' first rows with every row widened to int64
+    before dedup."""
     X, per_layer = _hidden_codes(net, X)
     codes = np.concatenate([np.zeros((X.shape[0], 1), np.int64)] + per_layer, axis=1)
     rows = codes.view(np.dtype((np.void, codes.itemsize * codes.shape[1])))[:, 0]
-    first = np.sort(np.unique(rows, return_index=True)[1])
-    return [(ActivationPattern(tuple(p[i] for p in per_layer)), X[i].copy())
-            for i in first]
+    return np.sort(np.unique(rows, return_index=True)[1])
 
 
 @pytest.mark.parametrize("sizes", SIZES, ids=lambda s: "-".join(map(str, s)))
@@ -128,13 +141,15 @@ def distinct_patterns_int64(net, X):
 def test_narrow_pattern_rows_keep_first_indices(kind, config, sizes):
     net = perturbed_net(kind, config, sizes)
     X = grid_points(*BOX, GRID_DENSITY)
-    got = _distinct_patterns(net, X)
+    codes, keys, first = _distinct_patterns(net, X)
     want = distinct_patterns_int64(net, X)
-    assert len(got) == len(want) > 1
-    for (pat, x), (want_pat, want_x) in zip(got, want):
-        assert x.tobytes() == want_x.tobytes()
-        assert [(c.dtype, c.tobytes()) for c in pat.codes] == \
-            [(c.dtype, c.tobytes()) for c in want_pat.codes]
+    assert first.tolist() == want.tolist() and len(want) > 1
+    _, per_layer = _hidden_codes(net, X)
+    assert [(c.dtype, c.tobytes()) for c in codes] == \
+        [(p.dtype, p[want].tobytes()) for p in per_layer]
+    # a key is the row's codes in the layers' common dtype, not widened further
+    assert keys.itemsize == (1 + sum(p.shape[1] for p in per_layer)) * \
+        np.result_type(np.int8, *per_layer).itemsize
 
 
 # ---------------------------------------------------------------------------
@@ -153,14 +168,27 @@ def count_calls(monkeypatch, owner, name):
     return calls
 
 
+def count_composed(monkeypatch):
+    """The number of patterns of each ``_compose`` call."""
+    patterns = []
+    inner = network._compose
+
+    def counted(net, codes):
+        patterns.append(codes[0].shape[0] if codes else 1)
+        return inner(net, codes)
+
+    monkeypatch.setattr(network, "_compose", counted)
+    return patterns
+
+
 @pytest.mark.parametrize("sizes", SIZES, ids=lambda s: "-".join(map(str, s)))
 def test_grid_probe_composes_one_map_per_distinct_pattern(monkeypatch, sizes):
     net = perturbed_net("relu", {}, sizes)
     pts = grid_points(*BOX, GRID_DENSITY)
     distinct = len(set(_patterns_of_batch(net, pts)))
-    calls = count_calls(monkeypatch, network, "local_affine_map")
+    composed = count_composed(monkeypatch)
     result = count_regions(net, BOX, method="grid-probe", grid_density=GRID_DENSITY)
-    assert len(calls) == distinct < pts.shape[0]
+    assert composed == [distinct] and distinct < pts.shape[0]
     assert result.count <= distinct
 
 
@@ -168,10 +196,10 @@ def test_grid_probe_composes_one_map_per_distinct_pattern(monkeypatch, sizes):
 def test_walk_runs_one_forward_pass_per_region(monkeypatch, sizes):
     net = perturbed_net("apl", {"segments": 2}, sizes)
     passes = count_calls(monkeypatch, PwlNetwork, "forward_batch")
-    maps = count_calls(monkeypatch, network, "local_affine_map")
+    composed = count_composed(monkeypatch)
     result = count_regions(net, BOX, method="pattern-enumeration")
     assert 1 < len(passes) <= result.count + 1
-    assert len(maps) == result.count
+    assert sum(composed) == result.count
 
 
 def test_net_without_hidden_units_has_one_region():
