@@ -54,23 +54,19 @@ class _Reader:
                 return at + 1
         return None
 
-    def next(self, expect=None):
+    def peek(self):
         while self.pos < len(self.lines) and not self.lines[self.pos].strip():
             self.pos += 1
-        if self.pos >= len(self.lines):
+        return self.lines[self.pos].strip() if self.pos < len(self.lines) else None
+
+    def next(self, expect=None):
+        line = self.peek()
+        if line is None:
             raise ParseError("unexpected end of file", len(self.lines))
-        line = self.lines[self.pos].strip()
         self.pos += 1
         if expect is not None and not line.startswith(expect):
             raise ParseError(f"expected {expect!r}, got {line!r}", self.pos)
         return line
-
-    def peek(self):
-        while self.pos < len(self.lines) and not self.lines[self.pos].strip():
-            self.pos += 1
-        if self.pos >= len(self.lines):
-            return None
-        return self.lines[self.pos].strip()
 
     def done(self):
         return self.peek() is None
@@ -139,193 +135,89 @@ def _count(text, reader):
 
 
 # ---------------------------------------------------------------------------
-# Writers
+# Record codecs shared by the model kinds
 # ---------------------------------------------------------------------------
 
-def _write_halfspaces(region, out):
-    for h in region.halfspaces:
-        out.append(f"H: normal={_fmt_vec(h.normal)} offset={_fmt(h.offset)} "
-                   f"closed={1 if h.closed else 0}")
+def _records(r, count_text, tag):
+    """The fields of each of ``count_text`` records, lines starting ``tag``.
 
-
-def _write_conventional(m):
-    out = [f"pwl-conventional v1 dim={m.dimension} pieces={m.piece_count}"]
-    for piece, region in zip(m.pieces, m.regions):
-        out.append(f"J={_fmt_vec(piece.jacobian)} b={_fmt(piece.bias)}")
-        _write_halfspaces(region, out)
-    if m.domain is not None:
-        out.append("domain")
-        _write_halfspaces(m.domain, out)
-    return "\n".join(out) + "\n"
-
-
-def _write_cplr(m):
-    out = [f"pwl-cplr v1 dim={m.dim} terms={len(m.terms)}",
-           f"affine: alpha={_fmt_vec(m.alpha0)} beta={_fmt(m.beta0)}"]
-    for eta, alpha, beta in m.terms:
-        out.append(f"term: eta={eta} alpha={_fmt_vec(alpha)} beta={_fmt(beta)}")
-    return "\n".join(out) + "\n"
-
-
-def _write_hh(m):
-    out = [f"pwl-hh v1 dim={m.dim} hinges={len(m.hinges)}",
-           f"affine: alpha={_fmt_vec(m.alpha0)} beta={_fmt(m.beta0)}"]
-    for w, alpha, beta in m.hinges:
-        out.append(f"hinge: w={_fmt(w)} alpha={_fmt_vec(alpha)} beta={_fmt(beta)}")
-    return "\n".join(out) + "\n"
-
-
-def _write_ghh(m):
-    out = [f"pwl-ghh v1 dim={m.dim} terms={len(m.terms)}"]
-    for w, affines in m.terms:
-        out.append(f"term: w={_fmt(w)} affines={len(affines)}")
-        for a in affines:
-            out.append(f"a: J={_fmt_vec(a.jacobian)} b={_fmt(a.bias)}")
-    return "\n".join(out) + "\n"
-
-
-def _write_expr(node, out):
-    out.append(f"node: alpha={_fmt_vec(node.affine.jacobian)} "
-               f"beta={_fmt(node.affine.bias)} children={len(node.children)}")
-    for coeff, child in node.children:
-        out.append(f"child: coeff={_fmt(coeff)}")
-        _write_expr(child, out)
-
-
-def _write_nested(m):
-    out = [f"pwl-nested v1 dim={m.dim}"]
-    _write_expr(m.root, out)
-    return "\n".join(out) + "\n"
-
-
-def _write_hlcplr(b):
-    out = [f"pwl-hlcplr v1 dim={b.dim} interval={_fmt(b.interval)} "
-           f"coords={len(b.coordinates)}"]
-    for axis, knot in b.coordinates:
-        out.append(f"c: axis={axis} knot={knot}")
-    return "\n".join(out) + "\n"
-
-
-def _write_ahh(m):
-    out = [f"pwl-ahh v1 dim={m.dim} intercept={_fmt(m.intercept)} "
-           f"bases={len(m.bases)}"]
-    for w, basis in m.bases:
-        out.append(f"basis: w={_fmt(w)} factors={len(basis.factors)}")
-        for delta, var, knot in basis.factors:
-            out.append(f"f: delta={delta} var={var} knot={_fmt(knot)}")
-    return "\n".join(out) + "\n"
-
-
-def _write_sbf(m):
-    out = [f"pwl-sbf v1 dim={m.dim} bases={len(m.bases)}"]
-    for w, gamma, zeta in m.bases:
-        out.append(f"basis: w={_fmt(w)} gamma={_fmt_vec(gamma)} "
-                   f"zeta={_fmt_vec(zeta)}")
-    return "\n".join(out) + "\n"
-
-
-def _write_lattice(m):
-    out = [f"pwl-lattice v1 dim={m.dim} affines={len(m.affines)} "
-           f"sets={len(m.sets)}"]
-    for a in m.affines:
-        out.append(f"a: J={_fmt_vec(a.jacobian)} b={_fmt(a.bias)}")
-    for s in m.sets:
-        out.append("S: " + ",".join(str(i) for i in s))
-    return "\n".join(out) + "\n"
-
-
-def _write_dc(m):
-    out = [f"pwl-dc v1 dim={m.dim} plus={m.plus.shape[0]} minus={m.minus.shape[0]}"]
-    for row in m.plus:
-        out.append(f"p: J={_fmt_vec(row[:-1])} b={_fmt(row[-1])}")
-    for row in m.minus:
-        out.append(f"m: J={_fmt_vec(row[:-1])} b={_fmt(row[-1])}")
-    return "\n".join(out) + "\n"
-
-
-def _write_matrix(name, arr, out):
-    arr = np.atleast_2d(np.asarray(arr, dtype=float))
-    out.append(f"{name}: rows={arr.shape[0]} cols={arr.shape[1]}")
-    for row in arr:
-        out.append(_fmt_vec(row))
-
-
-def _write_network(net):
-    out = [f"pwl-net v1 inputs={net.in_dim} layers={len(net.layers)}"]
-    for layer in net.layers:
-        act = layer.activation
-        if act is None:
-            desc = "activation=linear"
-        else:
-            desc = f"activation={act.kind}"
-            for k, v in act.config().items():
-                desc += f" {k}={v!r}" if isinstance(v, str) else f" {k}={v}"
-        out.append(f"layer: out={layer.weight.shape[0]} {desc}")
-        _write_matrix("W", layer.weight, out)
-        out.append(f"b: {_fmt_vec(layer.bias)}")
-        if act is not None:
-            for i, arr in enumerate(act.param_arrays()):
-                _write_matrix(f"param{i}", arr, out)
-    return "\n".join(out) + "\n"
-
-
-# (pwlkit module, class, writer), tried in this order
-_WRITERS = [
-    ("conventional", "ConventionalPWL", _write_conventional),
-    ("models", "CplrModel", _write_cplr),
-    ("models", "HingeModel", _write_hh),
-    ("models", "GhhModel", _write_ghh),
-    ("models", "NestedCplrModel", _write_nested),
-    ("models", "HlCplrBasis", _write_hlcplr),
-    ("models", "AhhModel", _write_ahh),
-    ("models", "SbfModel", _write_sbf),
-    ("models", "LatticeModel", _write_lattice),
-    ("transforms", "DCForm", _write_dc),
-    ("network", "PwlNetwork", _write_network),
-]
-
-
-def instance_of(obj, module, name):
-    """``isinstance(obj, pwlkit.<module>.<name>)``, without importing ``module``.
-
-    An object's class is defined before the object exists, so while the
-    module is not loaded nothing can be an instance of its classes.
+    The count is parsed when the first record is asked for.
     """
-    loaded = sys.modules.get(f"{__package__}.{module}")
-    return loaded is not None and isinstance(obj, getattr(loaded, name))
+    for _ in range(_count(count_text, r)):
+        yield _fields(r.next(tag), r)
 
 
-def serialize(model):
-    """Render any supported model to its text format."""
-    for module, name, writer in _WRITERS:
-        if instance_of(model, module, name):
-            return writer(model)
-    raise TypeError(f"no text format for {type(model).__name__}")
+# the keys of an affine record written as alpha=/beta= rather than J=/b=
+_ALPHA_BETA = ("alpha", "beta")
+
+
+def _affine(f, r, j="J", b="b"):
+    """The affine function of a record's ``J=``/``b=`` fields, in that order."""
+    from .affine import AffineFunction
+    return AffineFunction(_floats(f[j], r), _float(f[b], r))
+
+
+def _affine_text(jacobian, bias, j="J", b="b"):
+    return f"{j}={_fmt_vec(jacobian)} {b}={_fmt(bias)}"
+
+
+def _write_matrix(name, arr):
+    arr = np.atleast_2d(np.asarray(arr, dtype=float))
+    yield f"{name}: rows={arr.shape[0]} cols={arr.shape[1]}"
+    yield from map(_fmt_vec, arr)
+
+
+def _read_matrix(r, name):
+    f = _fields(r.next(name), r)
+    rows, cols = _count(f["rows"], r), _count(f["cols"], r)
+    data = np.empty((rows, cols))
+    for i in range(rows):
+        row = _floats(r.next(), r)
+        if row.shape[0] != cols:
+            r.error(f"expected {cols} values, got {row.shape[0]}")
+        data[i] = row
+    return data
 
 
 # ---------------------------------------------------------------------------
-# Readers
+# One writer and one reader per model kind
+#
+# A writer yields the lines of a model's text, the first being the header's
+# fields after ``pwl-<kind> v1``.  A reader takes the cursor past the header
+# and the header's fields.
 # ---------------------------------------------------------------------------
+
+def _write_halfspaces(region):
+    for h in region.halfspaces:
+        yield (f"H: normal={_fmt_vec(h.normal)} offset={_fmt(h.offset)} "
+               f"closed={1 if h.closed else 0}")
+
 
 def _read_halfspaces(r):
     from .conventional import Halfspace
     hs = []
-    while r.peek() is not None and r.peek().startswith("H:"):
+    while (r.peek() or "").startswith("H:"):
         hf = _fields(r.next(), r)
         hs.append(Halfspace(_floats(hf["normal"], r), _float(hf["offset"], r),
                             closed=_int(hf["closed"], r) == 1))
     return hs
 
 
+def _write_conventional(m):
+    yield f"dim={m.dimension} pieces={m.piece_count}"
+    for piece, region in zip(m.pieces, m.regions):
+        yield _affine_text(piece.jacobian, piece.bias)
+        yield from _write_halfspaces(region)
+    if m.domain is not None:
+        yield "domain"
+        yield from _write_halfspaces(m.domain)
+
+
 def _read_conventional(r, fields):
-    from .affine import AffineFunction
     from .conventional import ConventionalPWL, Region
-    dim = _count(fields.get("dim", ""), r)
-    pieces_n = _count(fields.get("pieces", ""), r)
-    pieces, regions = [], []
-    for label in range(pieces_n):
-        f = _fields(r.next("J="), r)
-        pieces.append(AffineFunction(_floats(f["J"], r), _float(f["b"], r)))
+    dim, pieces, regions = _count(fields.get("dim", ""), r), [], []
+    for label, f in enumerate(_records(r, fields.get("pieces", ""), "J=")):
+        pieces.append(_affine(f, r))
         hs = _read_halfspaces(r)
         if not hs:
             r.error(f"piece {label} has no halfspaces")
@@ -337,57 +229,73 @@ def _read_conventional(r, fields):
     return ConventionalPWL(dim, regions, pieces, domain=domain)
 
 
+def _write_cplr(m):
+    yield f"dim={m.dim} terms={len(m.terms)}"
+    yield "affine: " + _affine_text(m.alpha0, m.beta0, *_ALPHA_BETA)
+    for eta, alpha, beta in m.terms:
+        yield f"term: eta={eta} " + _affine_text(alpha, beta, *_ALPHA_BETA)
+
+
 def _read_cplr(r, fields):
     from .models import CplrModel
-    f = _fields(r.next("affine:"), r)
-    alpha0, beta0 = _floats(f["alpha"], r), _float(f["beta"], r)
-    terms = []
-    for _ in range(_count(fields.get("terms", "0"), r)):
-        tf = _fields(r.next("term:"), r)
-        terms.append((_int(tf["eta"], r), _floats(tf["alpha"], r),
-                      _float(tf["beta"], r)))
-    return CplrModel(alpha0, beta0, terms)
+    a = _affine(_fields(r.next("affine:"), r), r, *_ALPHA_BETA)
+    terms = [(_int(tf["eta"], r), _affine(tf, r, *_ALPHA_BETA))
+             for tf in _records(r, fields.get("terms", "0"), "term:")]
+    return CplrModel(a.jacobian, a.bias, [(e, t.jacobian, t.bias) for e, t in terms])
+
+
+def _write_hh(m):
+    yield f"dim={m.dim} hinges={len(m.hinges)}"
+    yield "affine: " + _affine_text(m.alpha0, m.beta0, *_ALPHA_BETA)
+    for w, alpha, beta in m.hinges:
+        yield f"hinge: w={_fmt(w)} " + _affine_text(alpha, beta, *_ALPHA_BETA)
 
 
 def _read_hh(r, fields):
     from .models import HingeModel
-    f = _fields(r.next("affine:"), r)
-    alpha0, beta0 = _floats(f["alpha"], r), _float(f["beta"], r)
-    hinges = []
-    for _ in range(_count(fields.get("hinges", "0"), r)):
-        hf = _fields(r.next("hinge:"), r)
-        hinges.append((_float(hf["w"], r), _floats(hf["alpha"], r),
-                       _float(hf["beta"], r)))
-    return HingeModel(alpha0, beta0, hinges)
+    a = _affine(_fields(r.next("affine:"), r), r, *_ALPHA_BETA)
+    hinges = [(_float(hf["w"], r), _affine(hf, r, *_ALPHA_BETA))
+              for hf in _records(r, fields.get("hinges", "0"), "hinge:")]
+    return HingeModel(a.jacobian, a.bias, [(w, h.jacobian, h.bias) for w, h in hinges])
+
+
+def _write_ghh(m):
+    yield f"dim={m.dim} terms={len(m.terms)}"
+    for w, affines in m.terms:
+        yield f"term: w={_fmt(w)} affines={len(affines)}"
+        for a in affines:
+            yield "a: " + _affine_text(a.jacobian, a.bias)
 
 
 def _read_ghh(r, fields):
-    from .affine import AffineFunction
     from .models import GhhModel
-    terms = []
-    for _ in range(_count(fields.get("terms", "0"), r)):
-        tf = _fields(r.next("term:"), r)
-        w, affines = _float(tf["w"], r), []
-        for _ in range(_count(tf["affines"], r)):
-            af = _fields(r.next("a:"), r)
-            affines.append(AffineFunction(_floats(af["J"], r), _float(af["b"], r)))
-        terms.append((w, affines))
-    return GhhModel(terms)
+    return GhhModel([(_float(tf["w"], r),
+                      [_affine(af, r) for af in _records(r, tf["affines"], "a:")])
+                     for tf in _records(r, fields.get("terms", "0"), "term:")])
+
+
+def _write_expr(node):
+    yield (f"node: {_affine_text(node.affine.jacobian, node.affine.bias, *_ALPHA_BETA)} "
+           f"children={len(node.children)}")
+    for coeff, child in node.children:
+        yield f"child: coeff={_fmt(coeff)}"
+        yield from _write_expr(child)
+
+
+def _write_nested(m):
+    yield f"dim={m.dim}"
+    yield from _write_expr(m.root)
 
 
 def _read_expr(r, depth=0):
-    from .affine import AffineFunction
     from .models import CplrExpr
     line = r.next("node:")
     if depth > MAX_NEST_DEPTH:
         r.error(f"nesting deeper than {MAX_NEST_DEPTH} levels")
     f = _fields(line, r)
-    affine = AffineFunction(_floats(f["alpha"], r), _float(f["beta"], r))
-    children = []
-    for _ in range(_count(f["children"], r)):
-        cf = _fields(r.next("child:"), r)
-        children.append((_float(cf["coeff"], r), _read_expr(r, depth + 1)))
-    return CplrExpr(affine, children)
+    return CplrExpr(_affine(f, r, *_ALPHA_BETA),
+                    [(_float(cf["coeff"], r), _read_expr(r, depth + 1))
+                     for cf in _records(r, f["children"], "child:")])
 
 
 def _read_nested(r, fields):
@@ -395,87 +303,107 @@ def _read_nested(r, fields):
     return NestedCplrModel(_read_expr(r))
 
 
+def _write_hlcplr(b):
+    yield f"dim={b.dim} interval={_fmt(b.interval)} coords={len(b.coordinates)}"
+    for axis, knot in b.coordinates:
+        yield f"c: axis={axis} knot={knot}"
+
+
 def _read_hlcplr(r, fields):
     from .models import HlCplrBasis
-    interval, coords = _float(fields["interval"], r), []
-    for _ in range(_count(fields.get("coords", "0"), r)):
-        cf = _fields(r.next("c:"), r)
-        coords.append((_int(cf["axis"], r), _int(cf["knot"], r)))
+    interval = _float(fields["interval"], r)
+    coords = [(_int(cf["axis"], r), _int(cf["knot"], r))
+              for cf in _records(r, fields.get("coords", "0"), "c:")]
     return HlCplrBasis(_count(fields["dim"], r), interval, coords)
+
+
+def _write_ahh(m):
+    yield f"dim={m.dim} intercept={_fmt(m.intercept)} bases={len(m.bases)}"
+    for w, basis in m.bases:
+        yield f"basis: w={_fmt(w)} factors={len(basis.factors)}"
+        for delta, var, knot in basis.factors:
+            yield f"f: delta={delta} var={var} knot={_fmt(knot)}"
 
 
 def _read_ahh(r, fields):
     from .models import AhhBasis, AhhModel
-    intercept, bases = _float(fields["intercept"], r), []
-    for _ in range(_count(fields.get("bases", "0"), r)):
-        bf = _fields(r.next("basis:"), r)
-        w, factors = _float(bf["w"], r), []
-        for _ in range(_count(bf["factors"], r)):
-            ff = _fields(r.next("f:"), r)
-            factors.append((_int(ff["delta"], r), _int(ff["var"], r),
-                            _float(ff["knot"], r)))
-        bases.append((w, AhhBasis(factors)))
+    intercept = _float(fields["intercept"], r)
+    bases = [(_float(bf["w"], r),
+              AhhBasis([(_int(ff["delta"], r), _int(ff["var"], r), _float(ff["knot"], r))
+                        for ff in _records(r, bf["factors"], "f:")]))
+             for bf in _records(r, fields.get("bases", "0"), "basis:")]
     return AhhModel(_count(fields["dim"], r), intercept, bases)
+
+
+def _write_sbf(m):
+    yield f"dim={m.dim} bases={len(m.bases)}"
+    for w, gamma, zeta in m.bases:
+        yield f"basis: w={_fmt(w)} gamma={_fmt_vec(gamma)} zeta={_fmt_vec(zeta)}"
 
 
 def _read_sbf(r, fields):
     from .models import SbfModel
-    bases = []
-    for _ in range(_count(fields.get("bases", "0"), r)):
-        bf = _fields(r.next("basis:"), r)
-        bases.append((_float(bf["w"], r), _floats(bf["gamma"], r),
-                      _floats(bf["zeta"], r)))
+    bases = [(_float(bf["w"], r), _floats(bf["gamma"], r), _floats(bf["zeta"], r))
+             for bf in _records(r, fields.get("bases", "0"), "basis:")]
     return SbfModel(_count(fields["dim"], r), bases)
 
 
+def _write_lattice(m):
+    yield f"dim={m.dim} affines={len(m.affines)} sets={len(m.sets)}"
+    for a in m.affines:
+        yield "a: " + _affine_text(a.jacobian, a.bias)
+    for s in m.sets:
+        yield "S: " + ",".join(str(i) for i in s)
+
+
 def _read_lattice(r, fields):
-    from .affine import AffineFunction
     from .models import LatticeModel
-    affines = []
-    for _ in range(_count(fields.get("affines", "0"), r)):
-        af = _fields(r.next("a:"), r)
-        affines.append(AffineFunction(_floats(af["J"], r), _float(af["b"], r)))
-    sets = []
-    for _ in range(_count(fields.get("sets", "0"), r)):
-        line = r.next("S:")
-        body = line[2:].strip()
-        sets.append([_int(tok, r) for tok in body.split(",") if tok])
+    affines = [_affine(af, r) for af in _records(r, fields.get("affines", "0"), "a:")]
+    sets = [[_int(tok, r) for tok in r.next("S:")[2:].strip().split(",") if tok]
+            for _ in range(_count(fields.get("sets", "0"), r))]
     return LatticeModel(affines, sets)
+
+
+def _write_dc(m):
+    yield f"dim={m.dim} plus={m.plus.shape[0]} minus={m.minus.shape[0]}"
+    for tag, rows in (("p", m.plus), ("m", m.minus)):
+        for row in rows:
+            yield f"{tag}: " + _affine_text(row[:-1], row[-1])
 
 
 def _read_dc(r, fields):
     from .transforms import DCForm
     sides, width = ([], []), None
     for rows, tag, key in zip(sides, ("p:", "m:"), ("plus", "minus")):
-        for _ in range(_count(fields.get(key, "0"), r)):
-            f = _fields(r.next(tag), r)
+        for f in _records(r, fields.get(key, "0"), tag):
             J = _floats(f["J"], r)
-            width = J.shape[0] if width is None else width
+            width = width or J.shape[0]
             if J.shape[0] != width:
                 r.error(f"J has {J.shape[0]} values, the first row has {width}",
                         needle=f["J"])
-            rows.append(np.concatenate([J, [_float(f["b"], r)]]))
+            rows.append(np.append(J, _float(f["b"], r)))
     return DCForm(np.array(sides[0]), np.array(sides[1]))
 
 
-def _read_matrix(r, name):
-    f = _fields(r.next(f"{name}"), r)
-    rows, cols = _count(f["rows"], r), _count(f["cols"], r)
-    data = np.empty((rows, cols))
-    for i in range(rows):
-        row = _floats(r.next(), r)
-        if row.shape[0] != cols:
-            r.error(f"expected {cols} values, got {row.shape[0]}")
-        data[i] = row
-    return data
+def _write_network(net):
+    yield f"inputs={net.in_dim} layers={len(net.layers)}"
+    for layer in net.layers:
+        act = layer.activation
+        config = {} if act is None else act.config()
+        yield (f"layer: out={layer.weight.shape[0]} "
+               f"activation={'linear' if act is None else act.kind}"
+               + "".join(f" {k}={v}" for k, v in config.items()))
+        yield from _write_matrix("W", layer.weight)
+        yield f"b: {_fmt_vec(layer.bias)}"
+        for i, arr in enumerate(act.param_arrays() if act else ()):
+            yield from _write_matrix(f"param{i}", arr)
 
 
 def _read_network(r, fields):
     from .network import Layer, PwlNetwork, make_activation
     header = r.pos
     layers = []
-    for _ in range(_count(fields.get("layers", "0"), r)):
-        lf = _fields(r.next("layer:"), r)
+    for lf in _records(r, fields.get("layers", "0"), "layer:"):
         line = r.pos
         kind = lf.pop("activation", "linear")
         out_rows = _count(lf["out"], r)
@@ -512,19 +440,40 @@ def _read_network(r, fields):
         raise ParseError(f"bad network: {e}", header) from None
 
 
-_READERS = {
-    "pwl-conventional": _read_conventional,
-    "pwl-cplr": _read_cplr,
-    "pwl-hh": _read_hh,
-    "pwl-ghh": _read_ghh,
-    "pwl-nested": _read_nested,
-    "pwl-hlcplr": _read_hlcplr,
-    "pwl-ahh": _read_ahh,
-    "pwl-sbf": _read_sbf,
-    "pwl-lattice": _read_lattice,
-    "pwl-dc": _read_dc,
-    "pwl-net": _read_network,
+# header: (pwlkit module, class, reader, writer); ``serialize`` tries the
+# classes in this order
+_KINDS = {
+    "pwl-conventional": ("conventional", "ConventionalPWL", _read_conventional,
+                         _write_conventional),
+    "pwl-cplr": ("models", "CplrModel", _read_cplr, _write_cplr),
+    "pwl-hh": ("models", "HingeModel", _read_hh, _write_hh),
+    "pwl-ghh": ("models", "GhhModel", _read_ghh, _write_ghh),
+    "pwl-nested": ("models", "NestedCplrModel", _read_nested, _write_nested),
+    "pwl-hlcplr": ("models", "HlCplrBasis", _read_hlcplr, _write_hlcplr),
+    "pwl-ahh": ("models", "AhhModel", _read_ahh, _write_ahh),
+    "pwl-sbf": ("models", "SbfModel", _read_sbf, _write_sbf),
+    "pwl-lattice": ("models", "LatticeModel", _read_lattice, _write_lattice),
+    "pwl-dc": ("transforms", "DCForm", _read_dc, _write_dc),
+    "pwl-net": ("network", "PwlNetwork", _read_network, _write_network),
 }
+
+
+def instance_of(obj, module, name):
+    """``isinstance(obj, pwlkit.<module>.<name>)``, without importing ``module``.
+
+    An object's class is defined before the object exists, so while the
+    module is not loaded nothing can be an instance of its classes.
+    """
+    loaded = sys.modules.get(f"{__package__}.{module}")
+    return loaded is not None and isinstance(obj, getattr(loaded, name))
+
+
+def serialize(model):
+    """Render any supported model to its text format."""
+    for header, (module, name, _, write) in _KINDS.items():
+        if instance_of(model, module, name):
+            return f"{header} v1 " + "\n".join(write(model)) + "\n"
+    raise TypeError(f"no text format for {type(model).__name__}")
 
 
 def deserialize(text):
@@ -532,12 +481,12 @@ def deserialize(text):
     r = _Reader(text)
     header = r.next()
     parts = header.split()
-    if len(parts) < 2 or parts[1] != "v1" or parts[0] not in _READERS:
+    if len(parts) < 2 or parts[1] != "v1" or parts[0] not in _KINDS:
         r.error(f"unrecognized header {header!r}")
     fields = _fields(" ".join([parts[0]] + parts[2:]), r)
     declared = {key: _count(fields[key], r) for key in ("dim", "inputs") if key in fields}
     try:
-        model = _READERS[parts[0]](r, fields)
+        model = _KINDS[parts[0]][2](r, fields)
     except (ValueError, DimensionMismatchError) as e:
         raise ParseError(f"bad model: {e}", r.pos) from None
     for key, value in declared.items():

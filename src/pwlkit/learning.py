@@ -23,6 +23,9 @@ RESTART_BUDGET = 10
 # Backfit sweeps over existing hinges after each accepted growth step.
 BACKFIT_SWEEPS = 4
 
+# Joint mask-and-refit rounds of the simultaneous polish.
+POLISH_ITERS = 15
+
 # Shape-search grid for simplex tents: powers of two, 1/8 .. 8.
 SBF_GAMMA_GRID = tuple(2.0 ** k for k in range(-3, 4))
 
@@ -373,7 +376,7 @@ def _normalized(direction):
 MAX_BIAS_CANDIDATES = 512
 
 
-def _simultaneous_polish(X, y, directions, ridge, max_iters=15):
+def _simultaneous_polish(X, y, directions, ridge):
     """Joint alternation over all hinges at once.
 
     With every hinge's activity mask frozen, the model is linear in the
@@ -391,7 +394,7 @@ def _simultaneous_polish(X, y, directions, ridge, max_iters=15):
     dirs = [d.copy() for d in directions]
     best_dirs, best_theta, best_sse = None, None, np.inf
     seen = set()
-    for _ in range(max_iters):
+    for _ in range(POLISH_ITERS):
         masks = [Xa @ d > 0 for d in dirs]
         if any(m.all() or not m.any() for m in masks):
             break
@@ -606,6 +609,8 @@ def _ahh_refit(X, y, bases, ridge):
 
 
 def _refit_columns(C, y, ridge):
+    if not C.shape[1]:
+        return np.empty(0), _sse(y)
     theta = least_squares(C, y, ridge)
     return theta, _sse(C @ theta - y)
 
@@ -727,13 +732,6 @@ def _sbf_column(A, gamma):
     return np.maximum(1.0 - A @ gamma, 0.0)
 
 
-def _sbf_refit(C, y, ridge):
-    if not C.shape[1]:
-        return np.empty(0), _sse(y)
-    theta = least_squares(C, y, ridge)
-    return theta, _sse(C @ theta - y)
-
-
 def fit_sbf(data, cfg=None):
     """Grow simplex tents at residual peaks with a shape search per tent.
 
@@ -748,7 +746,7 @@ def fit_sbf(data, cfg=None):
     bases = []   # (gamma, zeta)
     # the accepted tents' columns on the train and validation rows
     B, Bv = np.empty((Xt.shape[0], 0)), np.empty((Xv.shape[0], 0))
-    theta, sse = _sbf_refit(B, yt, cfg.ridge)
+    theta, sse = _refit_columns(B, yt, cfg.ridge)
 
     def val_sse_of(Cv, th, train_sse):
         return _validation_sse(lambda _: Cv @ th, Xv, yv, train_sse)
@@ -778,7 +776,7 @@ def fit_sbf(data, cfg=None):
                 if np.isfinite(scan[j]):
                     gamma[i] = SBF_GAMMA_GRID[j]
         C = np.column_stack([B, _sbf_column(A, gamma)])
-        new_theta, new_sse = _sbf_refit(C, yt, cfg.ridge)
+        new_theta, new_sse = _refit_columns(C, yt, cfg.ridge)
         if not new_sse <= sse - cfg.tolerance:
             trace.add(len(bases), sse, val_sse_of(Bv, theta, sse), "stop-no-progress")
             break

@@ -72,13 +72,19 @@ class Activation:
         """Per-neuron (slope, intercept) on the branch: out = slope*z + c."""
         raise NotImplementedError
 
-    def kinks(self, code):
-        """Boundaries of one unit pattern's branch as ``(D, t)``.
+    def thresholds(self):
+        """Per-unit kink thresholds, ``(kinks per unit, width)``; 0 for a relu."""
+        return np.zeros((1, self.width))
 
-        Row ``r`` is the branch change where ``D[r] . z - t[r]`` changes
-        sign, ``z`` being the layer's pre-activation vector.
-        """
-        raise NotImplementedError
+    def kinks(self, code):
+        """Boundaries of a pattern's branch, or of stacked patterns ``(...,
+        width)``, as ``(D, t)`` of shapes ``(..., rows, pre_width)`` and
+        ``(..., rows)``: row ``r`` is the branch change where ``D[r] . z - t[r]``
+        changes sign, ``z`` being the layer's pre-activation vector."""
+        t = self.thresholds().ravel()
+        D = np.tile(np.eye(self.width), (t.shape[0] // self.width, 1))
+        lead = np.shape(code)[:-1]
+        return np.broadcast_to(D, lead + D.shape), np.broadcast_to(t, lead + t.shape)
 
     def restrict(self, J, c, code):
         """Compose the pre-activation map ``z = J x + c`` with a frozen branch.
@@ -118,9 +124,6 @@ class Relu(Activation):
     def affine_view(self, p):
         return p.astype(float), np.zeros(p.shape[-1])
 
-    def kinks(self, code):
-        return np.eye(self.width), np.zeros(self.width)
-
 
 class LeakyRelu(Activation):
     kind = "leaky_relu"
@@ -144,9 +147,6 @@ class LeakyRelu(Activation):
 
     def affine_view(self, p):
         return np.where(p == 1, 1.0, self.lam), np.zeros(p.shape[-1])
-
-    def kinks(self, code):
-        return np.eye(self.width), np.zeros(self.width)
 
     def config(self):
         return {"lam": self.lam}
@@ -220,9 +220,8 @@ class SShapedRelu(Activation):
         intercept = self.b0 - self.a1 * s1 * self.tl - self.a2 * s2 * self.tr
         return slope, intercept
 
-    def kinks(self, code):
-        eye = np.eye(self.width)
-        return np.vstack([eye, eye]), np.concatenate([self.tl, self.tr])
+    def thresholds(self):
+        return np.stack([self.tl, self.tr])
 
 
 class FlexibleRelu(Activation):
@@ -252,8 +251,8 @@ class FlexibleRelu(Activation):
         act = p.astype(float)
         return act, act * self.a + self.b
 
-    def kinks(self, code):
-        return np.eye(self.width), -self.a
+    def thresholds(self):
+        return -self.a[None]
 
 
 class Apl(Activation):
@@ -308,11 +307,8 @@ class Apl(Activation):
             intercept = intercept + self.a[:, s] * self.b[:, s] * hinge[s]
         return slope, intercept
 
-    def kinks(self, code):
-        eye = np.eye(self.width)
-        return (np.vstack([eye] * (self.segments + 1)),
-                np.concatenate([np.zeros(self.width)]
-                               + [self.b[:, s] for s in range(self.segments)]))
+    def thresholds(self):
+        return np.vstack([np.zeros(self.width), self.b.T])
 
     def config(self):
         return {"segments": self.segments}
@@ -372,11 +368,13 @@ class Maxout(Activation):
                 np.take_along_axis(c, rows, axis=-1))
 
     def kinks(self, code):
-        """One row ``z[other] - z[top]`` per unit and losing slot."""
-        eye = np.eye(self.pre_width())
-        D = [eye[w * self.k + j] - eye[w * self.k + int(code[w])]
-             for w in range(self.width) for j in range(self.k) if j != code[w]]
-        return np.array(D).reshape(len(D), self.pre_width()), np.zeros(len(D))
+        """One row ``z[other] - z[top]`` per unit and losing slot, unit by unit."""
+        code = np.asarray(code, dtype=int)
+        others = np.arange(self.k - 1) + (np.arange(self.k - 1) >= code[..., None])
+        first, eye = np.arange(self.width) * self.k, np.eye(self.pre_width())
+        D = eye[first[:, None] + others] - eye[first + code][..., None, :]
+        D = D.reshape(code.shape[:-1] + (-1, self.pre_width()))
+        return D, np.zeros(D.shape[:-1])
 
     def config(self):
         return {"k": self.k}
@@ -1032,7 +1030,7 @@ class _Walk:
         G, gval = [np.empty((len(batch), 0, n))], [np.empty((len(batch), 0))]
         hidden = [(l.activation, m) for l, m in zip(net.layers, maps) if l.activation]
         for (act, (Jz, cz)), code in zip(hidden, codes):
-            D, t = (np.array(a) for a in zip(*map(act.kinks, code)))
+            D, t = act.kinks(code)
             G.append(np.matmul(D, Jz))
             z = np.matmul(Jz, X[:, :, None])[..., 0] + cz
             gval.append(np.matmul(D, z[..., None])[..., 0] - t)

@@ -54,13 +54,13 @@ class DCForm(PwlModel):
     """
 
     def __init__(self, plus, minus):
-        plus = np.atleast_2d(np.asarray(plus, dtype=float))
-        minus = np.atleast_2d(np.asarray(minus, dtype=float))
+        plus, minus = np.asarray(plus, dtype=float), np.asarray(minus, dtype=float)
+        if plus.size == 0 or minus.size == 0:    # before a 1-D empty side becomes (1, 0)
+            raise ValueError("both sides need at least one affine row")
+        plus, minus = np.atleast_2d(plus), np.atleast_2d(minus)
         if plus.shape[1] != minus.shape[1]:
             raise DimensionMismatchError(plus.shape[1] - 1, minus.shape[1] - 1,
                                          what="minus side")
-        if plus.shape[0] == 0 or minus.shape[0] == 0:
-            raise ValueError("both sides need at least one affine row")
         self.plus = np.unique(plus, axis=0)
         self.minus = np.unique(minus, axis=0)
         worst = max(self.plus.shape[0], self.minus.shape[0])

@@ -160,6 +160,12 @@ HEADER_MISMATCH = {
     "dc-m-row-wider-than-p": (
         "pwl-dc v1 dim=1 plus=1 minus=1\np: J=1.0 b=0.0\nm: J=1.0,2.0 b=0.0\n",
         "J has 2 values, the first row has 1 (line 3, column 6)"),
+    "dc-no-rows": ("pwl-dc v1 plus=0 minus=0\n",
+                   "bad model: both sides need at least one affine row (line 1)"),
+    "dc-no-minus-rows": ("pwl-dc v1 dim=2 plus=1 minus=0\np: J=1.0,2.0 b=0.0\n",
+                         "bad model: both sides need at least one affine row (line 2)"),
+    "dc-no-plus-rows": ("pwl-dc v1 dim=2 plus=0 minus=1\nm: J=1.0,2.0 b=0.0\n",
+                        "bad model: both sides need at least one affine row (line 2)"),
     "net-inputs-3-over-2-columns": (
         serialize(network_from_sizes([2, 2, 1], "relu")).replace("inputs=2", "inputs=3"),
         "header has inputs=3, the model's data has dimension 2 (line 1)"),
