@@ -227,31 +227,30 @@ def cmd_fit(args):
 
     file_values = _read_config(args.config) if args.config else {}
 
-    if args.kind == "dnn":
-        from .network import TrainConfig, init_params, network_from_sizes, train_sgd
-        overrides = {"learning_rate": args.learning_rate,
-                     "batch_size": args.batch_size,
-                     "epochs": args.epochs, "seed": args.seed}
-        cfg = _build_config(TrainConfig, file_values, overrides)
-        net = network_from_sizes([data.dim] + args.hidden + [1], args.activation)
-        init_params(net, scheme=cfg.init, seed=cfg.seed)
-        net, curve = train_sgd(net, data, cfg)
-        model = net
-        pred = net.values(data.inputs)
-        train_sse = float(np.sum((pred - data.targets) ** 2))
-        val_sse = train_sse
-        n_train = n_val = data.size
-        terms = net.hidden_unit_count
-        trace_text = csv_text(["epoch", "loss"],
-                              ((i, repr(float(v))) for i, v in enumerate(curve)))
-        seed = cfg.seed
-    else:
-        from .learning import FitConfig, fit_ahh, fit_hh, fit_sbf
-        overrides = {"max_terms": args.max_terms, "seed": args.seed,
-                     "ridge": args.ridge,
-                     "validation_split": args.validation_split}
-        cfg = _build_config(FitConfig, file_values, overrides)
-        try:
+    try:
+        if args.kind == "dnn":
+            from .learning import _sse
+            from .network import TrainConfig, init_params, network_from_sizes, train_sgd
+            overrides = {"learning_rate": args.learning_rate,
+                         "batch_size": args.batch_size,
+                         "epochs": args.epochs, "seed": args.seed}
+            cfg = _build_config(TrainConfig, file_values, overrides)
+            net = network_from_sizes([data.dim] + args.hidden + [1], args.activation)
+            init_params(net, scheme=cfg.init, seed=cfg.seed)
+            # a net that overflows ends in _sse's error, not in numpy warnings
+            with np.errstate(over="ignore", invalid="ignore"):
+                model, curve = train_sgd(net, data, cfg)
+                train_sse = val_sse = _sse(model.values(data.inputs) - data.targets)
+            n_train = n_val = data.size
+            terms = model.hidden_unit_count
+            trace_text = csv_text(["epoch", "loss"],
+                                  ((i, repr(float(v))) for i, v in enumerate(curve)))
+        else:
+            from .learning import FitConfig, fit_ahh, fit_hh, fit_sbf
+            overrides = {"max_terms": args.max_terms, "seed": args.seed,
+                         "ridge": args.ridge,
+                         "validation_split": args.validation_split}
+            cfg = _build_config(FitConfig, file_values, overrides)
             if args.kind == "hh":
                 model, trace = fit_hh(data, cfg)
                 terms = len(model.hinges)
@@ -261,14 +260,12 @@ def cmd_fit(args):
             else:
                 model, trace = fit_sbf(data, cfg)
                 terms = len(model.bases)
-        except PwlError as e:
-            raise CliError(EXIT_FIT, f"fit failed: {e}") from e
-        final = trace.final
-        n_train = trace.train_size
-        n_val = trace.validation_size or n_train
-        train_sse, val_sse = final.train_sse, final.validation_sse
-        trace_text = trace.to_csv()
-        seed = cfg.seed
+            n_train = trace.train_size
+            n_val = trace.validation_size or n_train
+            train_sse, val_sse = trace.final.train_sse, trace.final.validation_sse
+            trace_text = trace.to_csv()
+    except PwlError as e:
+        raise CliError(EXIT_FIT, f"fit failed: {e}") from e
 
     save_model(model, args.out)
     if args.trace:
@@ -278,7 +275,7 @@ def cmd_fit(args):
         ("terms", terms),
         ("train-rmse", repr(_rmse(train_sse, n_train))),
         ("validation-rmse", repr(_rmse(val_sse, n_val))),
-        ("seed", seed),
+        ("seed", cfg.seed),
         ("model-file", args.out),
         ("trace-file", args.trace or ""),
     ])
@@ -351,8 +348,9 @@ def _unsupported(reason):
                     "conventional->cplr, hh->cplr, cplr->hh, any->dc, any->ghh")
 
 
-def _convert(model, target_kind, density):
-    """``model`` in the ``target_kind`` representation."""
+def _convert(model, target_kind, density, box):
+    """``model`` in the ``target_kind`` representation; a conventional model's
+    builders verify it on a ``density`` grid over ``box`` (None: its domain's)."""
     from .conventional import ConventionalPWL
     from .formats import instance_of
     from .models import CplrModel, HingeModel
@@ -361,16 +359,18 @@ def _convert(model, target_kind, density):
     if target_kind == "lattice":
         if not isinstance(model, ConventionalPWL):
             raise _unsupported("lattice conversion needs a conventional model")
-        return lattice_from_conventional(model, probe_density=density)
+        return lattice_from_conventional(model, probe_density=density, box=box)
     if target_kind == "cplr":
         if isinstance(model, HingeModel):
             return CplrModel.from_hinges(model)
         if isinstance(model, ConventionalPWL):
-            return cplr_from_consistent(model)
+            return cplr_from_consistent(model, probe_density=density)
         raise _unsupported("canonical conversion needs a conventional or hinge model")
     if target_kind in ("dc", "ghh"):
         if instance_of(model, "network", "PwlNetwork"):
             raise _unsupported("networks have no difference-of-convex lowering")
+        if isinstance(model, ConventionalPWL):
+            model = lattice_from_conventional(model, probe_density=density, box=box)
         target = dc_from_model(model)
         return ghh_from_dc(target) if target_kind == "ghh" else target
     if not isinstance(model, CplrModel):
@@ -402,7 +402,7 @@ def cmd_convert(args):
         # huge finite coefficients can overflow to a non-finite target, which
         # is refused here, before it is evaluated or written
         with np.errstate(over="ignore", invalid="ignore"):
-            target = _convert(model, target_kind, args.density)
+            target = _convert(model, target_kind, args.density, box)
         if not _finite(target):
             raise ValueError(f"the {target_kind} form has coefficients that are not "
                              "finite; the model's coefficients are too large")

@@ -361,9 +361,8 @@ def _chebyshev_lp(region, box=None):
 def chebyshev_centers(regions, box=None):
     """``chebyshev_center`` of each region, the LPs solved together.
 
-    Each center is at its region's inscribed radius, but where the center is
-    not unique it can be another one than ``chebyshev_center`` returns, and
-    its last bits can differ (see ``solve_lp_blocks``).
+    Each center has the bits that its region's lone solve gives: a block's
+    solution does not depend on the other blocks (see ``solve_lp_blocks``).
     """
     solved = solve_lp_blocks([_chebyshev_lp(r, box=box) for r in regions])
     return [(x[:r.dim], float(x[r.dim])) if status == 0 else (None, -np.inf)
@@ -528,9 +527,9 @@ def _facet_interiors(queries, box):
     query, or ``(None, -inf)`` where the closures do not meet on an
     (n-1)-dimensional set.
 
-    The LPs are solved together.  Where a facet's deepest point is not
-    unique, the joint solve can return another one than a lone solve; only
-    the radius, the optimal value, decides whether the facet exists.
+    The LPs are solved together, each to the bits of a lone solve.  Where a
+    facet's deepest point is not unique, only the radius, the optimal value,
+    decides whether the facet exists.
     """
     posed = [_facet_lp(alpha, beta, joint, box) for alpha, beta, joint in queries]
     solved = iter(solve_lp_blocks([block for _, _, block in posed if block is not None]))

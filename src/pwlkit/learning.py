@@ -13,7 +13,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DegenerateSplitError, NonFiniteFitError, SingularSystemError
+from .errors import (DegenerateSplitError, InvalidInputError, NonFiniteFitError,
+                     SingularSystemError)
 from .formats import csv_text, read_csv_floats
 from .models import AhhBasis, AhhModel, HingeModel, SbfModel
 
@@ -173,6 +174,14 @@ def _sse(residual):
     return sse
 
 
+def _refit_columns(C, y, ridge):
+    """Ridge least squares of ``y`` on the columns of ``C``, and its SSE."""
+    if not C.shape[1]:
+        return np.empty(0), _sse(y)
+    theta = least_squares(C, y, ridge)
+    return theta, _sse(C @ theta - y)
+
+
 def _augment(X):
     return np.column_stack([X, np.ones(X.shape[0])])
 
@@ -229,22 +238,16 @@ def _scan_candidate_blocks(B, y, blocks, ridge, grams=None):
             + np.einsum("ij,ijl,il->i", theta, K, theta))
 
 
-def _split_indices(n_samples, fraction, rng):
-    """Deterministic train/validation index split (validation may be empty)."""
-    if fraction <= 0.0:
-        idx = np.arange(n_samples)
-        return idx, np.empty(0, dtype=int)
-    perm = rng.permutation(n_samples)
-    n_val = max(1, int(round(fraction * n_samples)))
-    return np.sort(perm[n_val:]), np.sort(perm[:n_val])
-
-
 def _fit_setup(data, cfg):
     """Start of every grower: config, seeded rng, empty trace, train and
-    validation rows ``(Xt, yt, Xv, yv)``."""
+    validation rows ``(Xt, yt, Xv, yv)``; a split of 0 validates on none."""
     cfg = cfg or FitConfig()
     rng = np.random.default_rng(cfg.seed)
-    train_idx, val_idx = _split_indices(data.size, cfg.validation_split, rng)
+    train_idx, val_idx = np.arange(data.size), np.empty(0, dtype=int)
+    if cfg.validation_split > 0.0:
+        perm = rng.permutation(data.size)
+        n_val = max(1, int(round(cfg.validation_split * data.size)))
+        train_idx, val_idx = np.sort(perm[n_val:]), np.sort(perm[:n_val])
     trace = FitTrace()
     trace.train_size, trace.validation_size = len(train_idx), len(val_idx)
     X, y = data.inputs, data.targets
@@ -255,7 +258,7 @@ def _validation_sse(predict, Xv, yv, train_sse):
     """SSE of ``predict`` on the validation rows; the train SSE without any."""
     if not len(yv):
         return train_sse
-    return float(np.sum((predict(Xv) - yv) ** 2))
+    return _sse(predict(Xv) - yv)
 
 
 # ---------------------------------------------------------------------------
@@ -290,10 +293,6 @@ def find_hinge(data, cfg=None, init=None):
                        np.random.default_rng(cfg.seed), init=init)
 
 
-def _hinge_sse(Xa, y, tp, tm):
-    return float(np.sum((y - np.maximum(Xa @ tp, Xa @ tm)) ** 2))
-
-
 def _find_hinge(X, y, cfg, rng, init=None):
     """Alternate membership split and per-side least squares.
 
@@ -308,8 +307,8 @@ def _find_hinge(X, y, cfg, rng, init=None):
     """
     N, n = X.shape
     if N < 2 * (n + 1):
-        raise ValueError(f"need at least {2 * (n + 1)} samples for a hinge in "
-                         f"dimension {n}, got {N}")
+        raise InvalidInputError(f"need at least {2 * (n + 1)} samples for a hinge "
+                                f"in dimension {n}, got {N}")
     Xa = _augment(X)
 
     if init is not None:
@@ -338,7 +337,7 @@ def _find_hinge(X, y, cfg, rng, init=None):
         seen.add(key)
         tp = least_squares(Xa[mask], y[mask], cfg.ridge)
         tm = least_squares(Xa[~mask], y[~mask], cfg.ridge)
-        sse = _hinge_sse(Xa, y, tp, tm)
+        sse = _sse(y - np.maximum(Xa @ tp, Xa @ tm))
         new_mask = Xa @ (tp - tm) > 0
         if np.array_equal(new_mask, mask):
             return HingeFit(tp, tm, mask.copy(), it, True, sse)
@@ -356,15 +355,15 @@ def _find_hinge(X, y, cfg, rng, init=None):
 # Hinge-sum fitting
 # ---------------------------------------------------------------------------
 
+def _hinge_columns(X, directions):
+    """``X``, a constant and one ReLU column ``max(Xa @ d, 0)`` per hinge."""
+    Xa = _augment(X)
+    return np.column_stack([Xa] + [np.maximum(Xa @ d, 0.0) for d in directions])
+
+
 def _refit_hinges(X, y, directions, ridge):
     """Joint ridge refit of affine part plus one weight per hinge column."""
-    Xa = _augment(X)
-    cols = [X, np.ones((X.shape[0], 1))]
-    for d in directions:
-        cols.append(np.maximum(Xa @ d, 0.0)[:, None])
-    C = np.column_stack(cols)
-    theta = least_squares(C, y, ridge)
-    return theta, _sse(C @ theta - y)
+    return _refit_columns(_hinge_columns(X, directions), y, ridge)
 
 
 def _normalized(direction):
@@ -438,10 +437,7 @@ def _refine_bias(X, y, directions, k, ridge, sse):
         idx = np.round(np.linspace(0, cand.shape[0] - 1,
                                    MAX_BIAS_CANDIDATES)).astype(int)
         cand = cand[idx]
-    Xa = _augment(X)
-    others = directions[:k] + directions[k + 1:]
-    B = np.column_stack([X, np.ones(X.shape[0])] +
-                        [np.maximum(Xa @ o, 0.0)[:, None] for o in others])
+    B = _hinge_columns(X, directions[:k] + directions[k + 1:])
     blocks = np.subtract.outer(proj, cand)
     np.maximum(blocks, 0.0, out=blocks)     # in place: one (N, count) buffer
     scan = _scan_candidate_blocks(B, y, blocks[:, :, None], ridge)
@@ -602,17 +598,6 @@ def _ahh_columns(X, bases):
     for b in bases:
         cols.append(b.values(X))
     return np.column_stack(cols)
-
-
-def _ahh_refit(X, y, bases, ridge):
-    return _refit_columns(_ahh_columns(X, bases), y, ridge)
-
-
-def _refit_columns(C, y, ridge):
-    if not C.shape[1]:
-        return np.empty(0), _sse(y)
-    theta = least_squares(C, y, ridge)
-    return theta, _sse(C @ theta - y)
 
 
 def _ahh_knots(xs):

@@ -309,13 +309,13 @@ def lattice_from_conventional(model, probe_density=33, box=None):
 # Canonical form from a consistent region-wise model
 # ---------------------------------------------------------------------------
 
-def cplr_from_consistent(model):
+def cplr_from_consistent(model, probe_density=33):
     """Reconstruct the canonical sum-of-absolute-values form, fit free.
 
     One absolute-value term per boundary hyperplane; the affine part and
     per-hyperplane coefficients are solved by least squares over region
-    Jacobians, then the result is verified on a 33-per-axis grid over the
-    model's ``domain_box``.
+    Jacobians, then the result is verified on a ``probe_density``-per-axis
+    grid over the model's ``domain_box``.
     """
     verdict = check_consistent_variation(model)
     if not verdict.representable:
@@ -357,7 +357,7 @@ def cplr_from_consistent(model):
         eta = 1 if g > 0 else -1
         terms.append((eta, abs(g) * alpha, -abs(g) * beta))
     cplr = CplrModel(alpha0, beta0, terms)
-    _verify_on_grid(model, cplr, grid_points(*box, 33), "canonical reconstruction")
+    _verify_on_grid(model, cplr, grid_points(*box, probe_density), "canonical reconstruction")
     return cplr
 
 

@@ -101,7 +101,7 @@ def test_ahh_drop_one_refit_matches_rebuilt_columns():
     C, Cv = L._ahh_columns(Xt, bases), L._ahh_columns(Xv, bases)
     for k in range(len(bases)):
         trial = bases[:k] + bases[k + 1:]
-        want_theta, want_sse = L._ahh_refit(Xt, yt, trial, 1e-8)
+        want_theta, want_sse = L._refit_columns(L._ahh_columns(Xt, trial), yt, 1e-8)
         theta, sse = L._refit_columns(np.delete(C, k + 1, axis=1), yt, 1e-8)
         assert theta.tobytes() == want_theta.tobytes()
         assert np.float64(sse).tobytes() == np.float64(want_sse).tobytes()

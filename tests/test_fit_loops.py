@@ -65,7 +65,7 @@ def ref_find_hinge(X, y, cfg, rng, init=None):
             continue
         tp = L.least_squares(Xa[mask], y[mask], cfg.ridge)
         tm = L.least_squares(Xa[~mask], y[~mask], cfg.ridge)
-        sse = L._hinge_sse(Xa, y, tp, tm)
+        sse = L._sse(y - np.maximum(Xa @ tp, Xa @ tm))
         new_mask = Xa @ (tp - tm) > 0
         if np.array_equal(new_mask, mask):
             return L.HingeFit(tp, tm, mask.copy(), it, True, sse)

@@ -24,7 +24,7 @@ def test_overflowing_fit_raises(fit):
     assert issubclass(NonFiniteFitError, PwlError)
 
 
-@pytest.mark.parametrize("kind", ["hh", "ahh", "sbf"])
+@pytest.mark.parametrize("kind", ["hh", "ahh", "sbf", "dnn"])
 def test_overflowing_fit_exits_3_and_writes_nothing(capsys, tmp_path, kind):
     data = tmp_path / "data.csv"
     data.write_text("x,y\n" + "".join(f"{a!r},{b!r}\n" for a, b in zip(X.tolist(), Y.tolist())))

@@ -285,7 +285,7 @@ def ref_fit_ahh(data, cfg):
     cfg, _rng, trace, Xt, yt, Xv, yv = L._fit_setup(data, cfg)
     n = data.dim
     bases, tree = [], []
-    theta, sse = L._ahh_refit(Xt, yt, bases, cfg.ridge)
+    theta, sse = L._refit_columns(L._ahh_columns(Xt, bases), yt, cfg.ridge)
 
     def val_sse_of(bs, th, train_sse):
         return L._validation_sse(lambda Z: L._ahh_columns(Z, bs) @ th, Xv, yv, train_sse)
@@ -324,7 +324,7 @@ def ref_fit_ahh(data, cfg):
         parent_factors = () if parent < 0 else bases[parent].factors
         pair = [AhhBasis(parent_factors + ((+1, v, knot),)),
                 AhhBasis(parent_factors + ((-1, v, knot),))]
-        th, s = L._ahh_refit(Xt, yt, bases + pair, cfg.ridge)
+        th, s = L._refit_columns(L._ahh_columns(Xt, bases + pair), yt, cfg.ridge)
         if s > sse - cfg.tolerance:
             trace.add(len(bases), sse, val_sse_of(bases, theta, sse), "stop-no-progress")
             break

@@ -1,8 +1,10 @@
 """Bad flags, config values and net-file layer options end in contract exit
-codes (64 for usage, 2 for input) instead of tracebacks."""
+codes (64 for usage, 2 for input, 3 for a fit) instead of tracebacks, and
+``--box`` and ``--density`` reach the conversions' own checks."""
 
 import tracemalloc
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -45,6 +47,11 @@ def data_csv(tmp_path):
 
 
 def command(name, hinge_file, net_file, tmp_path):
+    if name == "convert-lattice":   # the committed triangulation without its domain
+        tri8 = tmp_path / "tri8.txt"
+        tri8.write_text((Path(__file__).parent / "data" / "tri8.txt").read_text()
+                        .split("domain\n")[0])
+        return ["convert", "--model", tri8, "--to", "lattice", "--out", tmp_path / "out.txt"]
     return {"regions": ["regions", "--model", net_file],
             "equiv": ["equiv", "--model-a", hinge_file, "--model-b", hinge_file],
             "convert": ["convert", "--model", hinge_file, "--to", "cplr",
@@ -55,7 +62,7 @@ def command(name, hinge_file, net_file, tmp_path):
 # --box and --density
 # ---------------------------------------------------------------------------
 
-@pytest.mark.parametrize("name", ["regions", "equiv", "convert"])
+@pytest.mark.parametrize("name", ["regions", "equiv", "convert", "convert-lattice"])
 def test_good_box_is_accepted(capsys, tmp_path, hinge_file, net_file, name):
     argv = command(name, hinge_file, net_file, tmp_path)
     code, _, err = run(capsys, *argv, "--box=-1:1,-1:1")
@@ -103,9 +110,45 @@ def test_density_within_the_cap_is_accepted(density, dim):
     _check_density(density, dim)
 
 
+# |x1| on [-1, 1]^4: a 33^4 check grid's points alone would take 38 MB
+ABS4 = "".join(["pwl-conventional v1 dim=4 pieces=2\n",
+                "J=1.0,0.0,0.0,0.0 b=0.0\nH: normal=-1.0,0.0,0.0,0.0 offset=0.0 closed=1\n",
+                "J=-1.0,0.0,0.0,0.0 b=0.0\nH: normal=1.0,0.0,0.0,0.0 offset=0.0 closed=1\n",
+                "domain\n"] + [f"H: normal={','.join(map(str, row))} offset=-1.0 closed=1\n"
+                               for row in np.vstack([np.eye(4), -np.eye(4)]).tolist()])
+
+
+@pytest.mark.parametrize("target", ["cplr", "dc"])
+def test_density_bounds_the_conversion_self_check(capsys, tmp_path, target):
+    path = tmp_path / "abs4.txt"
+    path.write_text(ABS4)
+    argv = ("convert", "--model", path, "--to", target, "--density", 3,
+            "--out", tmp_path / "out.txt")
+    assert run(capsys, *argv)[0] == 0     # imports every module the conversion uses
+    tracemalloc.start()
+    try:
+        code, _, err = run(capsys, *argv)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 0, err
+    assert peak < 16 << 20
+
+
 # ---------------------------------------------------------------------------
 # fit flags and config values
 # ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("rows,split", [(3, "0"), (30, "0.9")])
+def test_too_few_hinge_rows_exit_3(capsys, tmp_path, data_csv, rows, split):
+    path = tmp_path / "few.csv"
+    path.write_text("".join(data_csv.read_text().splitlines(True)[:rows + 1]))
+    code, out, err = run(capsys, "fit", "--data", path, "--kind", "hh",
+                         "--validation-split", split, "--out", tmp_path / "m.txt")
+    assert (code, out) == (3, "")
+    assert err == "fit failed: need at least 6 samples for a hinge in dimension 2, got 3\n"
+    assert not (tmp_path / "m.txt").exists()
+
 
 def test_non_numeric_config_value_exits_64(capsys, tmp_path, data_csv):
     config = tmp_path / "fit.cfg"
