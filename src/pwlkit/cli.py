@@ -131,12 +131,6 @@ def _grid_axes(spec):
     return [a + step * np.arange(int(n)) for a, step, n in axes]
 
 
-def _parse_grid(spec):
-    """Grid spec into its lexicographic point list, last axis fastest."""
-    from .affine import mesh_points
-    return mesh_points(_grid_axes(spec))
-
-
 def _check_density(density, dim):
     """Refuse a per-axis density whose grid in ``dim`` dimensions is too big."""
     if density < 0 or float(density) ** dim > MAX_GRID_POINTS:
@@ -340,42 +334,57 @@ def _grid_csv(axes, values):
         yield "\n".join(map(",".join, rows)) + "\n"
 
 
-CONVERSIONS = ("lattice", "cplr", "dc", "ghh", "hh")
+def _kind(model):
+    """The kind ``model`` is written as: its text header without ``pwl-``."""
+    from .formats import kind_of
+    return kind_of(model).removeprefix("pwl-")
 
 
-def _unsupported(reason):
-    return CliError(EXIT_INPUT, f"{reason}; supported paths: conventional->lattice, "
-                    "conventional->cplr, hh->cplr, cplr->hh, any->dc, any->ghh")
+def _lattice(model, density, box):
+    from .transforms import lattice_from_conventional
+    return lattice_from_conventional(model, probe_density=density, box=box)
 
 
-def _convert(model, target_kind, density, box):
-    """``model`` in the ``target_kind`` representation; a conventional model's
-    builders verify it on a ``density`` grid over ``box`` (None: its domain's)."""
-    from .conventional import ConventionalPWL
-    from .formats import instance_of
-    from .models import CplrModel, HingeModel
-    from .transforms import (cplr_from_consistent, dc_from_model, ghh_from_dc,
-                             lattice_from_conventional)
-    if target_kind == "lattice":
-        if not isinstance(model, ConventionalPWL):
-            raise _unsupported("lattice conversion needs a conventional model")
-        return lattice_from_conventional(model, probe_density=density, box=box)
-    if target_kind == "cplr":
-        if isinstance(model, HingeModel):
-            return CplrModel.from_hinges(model)
-        if isinstance(model, ConventionalPWL):
-            return cplr_from_consistent(model, probe_density=density)
-        raise _unsupported("canonical conversion needs a conventional or hinge model")
-    if target_kind in ("dc", "ghh"):
-        if instance_of(model, "network", "PwlNetwork"):
-            raise _unsupported("networks have no difference-of-convex lowering")
-        if isinstance(model, ConventionalPWL):
-            model = lattice_from_conventional(model, probe_density=density, box=box)
-        target = dc_from_model(model)
-        return ghh_from_dc(target) if target_kind == "ghh" else target
-    if not isinstance(model, CplrModel):
-        raise _unsupported("hinge conversion needs a canonical model")
+def _cplr_of_conventional(model, density, box):
+    from .transforms import cplr_from_consistent
+    return cplr_from_consistent(model, probe_density=density)
+
+
+def _cplr_of_hh(model, density, box):
+    from .models import CplrModel
+    return CplrModel.from_hinges(model)
+
+
+def _dc(model, density, box):
+    from .transforms import dc_from_model
+    if _kind(model) == "conventional":
+        model = _lattice(model, density, box)
+    return dc_from_model(model)
+
+
+def _ghh(model, density, box):
+    from .transforms import ghh_from_dc
+    return ghh_from_dc(_dc(model, density, box))
+
+
+def _hh_of_cplr(model, density, box):
+    from .models import HingeModel
     return HingeModel.from_cplr(model)
+
+
+# (source kind, target kind) -> builder(model, density, box), every path
+# ``convert`` takes; a source of "any" is every kind but net, and ``--to``
+# offers the targets in the order they first appear.  A conventional model's
+# builders verify it on a ``density`` grid over ``box`` (None: its domain's).
+CONVERT_PATHS = {
+    ("conventional", "lattice"): _lattice,
+    ("conventional", "cplr"): _cplr_of_conventional,
+    ("hh", "cplr"): _cplr_of_hh,
+    ("any", "dc"): _dc,
+    ("any", "ghh"): _ghh,
+    ("cplr", "hh"): _hh_of_cplr,
+}
+CONVERSIONS = tuple(dict.fromkeys(target for _, target in CONVERT_PATHS))
 
 
 def _finite(value):
@@ -391,25 +400,29 @@ def _finite(value):
 
 
 def cmd_convert(args):
-    from .conventional import ConventionalPWL
     from .formats import save_model
     from .transforms import check_equivalence
     model = _load(args.model)
     box = _parse_box(args.box, model.dim) if args.box else None
     _check_density(args.density, model.dim)
-    target_kind = args.to
+    kind, target_kind = _kind(model), args.to
+    build = CONVERT_PATHS.get((kind, target_kind)) or (
+        kind != "net" and CONVERT_PATHS.get(("any", target_kind)))
+    if not build:
+        paths = ", ".join(f"{source}->{to}" for source, to in CONVERT_PATHS)
+        raise CliError(EXIT_INPUT, f"no {kind} to {target_kind} conversion; supported "
+                                   f"paths: {paths} (any: every kind but net)")
     try:
         # huge finite coefficients can overflow to a non-finite target, which
         # is refused here, before it is evaluated or written
         with np.errstate(over="ignore", invalid="ignore"):
-            target = _convert(model, target_kind, args.density, box)
+            target = build(model, args.density, box)
         if not _finite(target):
             raise ValueError(f"the {target_kind} form has coefficients that are not "
                              "finite; the model's coefficients are too large")
-        if box is None and isinstance(model, ConventionalPWL) and model.domain is not None:
-            box = model.domain_box()
-        elif box is None:
-            box = (np.full(model.dim, -1.0), np.full(model.dim, 1.0))
+        if box is None:
+            box = (model.domain_box() if kind == "conventional" and model.domain is not None
+                   else (np.full(model.dim, -1.0), np.full(model.dim, 1.0)))
         report = check_equivalence(model, target, box, grid_density=args.density,
                                    tolerance=args.tolerance)
     except NotCplrRepresentableError as e:
@@ -429,7 +442,7 @@ def cmd_convert(args):
         ("samples", report.sample_count),
         ("model-file", args.out),
     ])
-    if hasattr(target, "sets"):
+    if target_kind == "lattice":
         for i, s in enumerate(target.sets):
             print(f"S{i}: {{{','.join(str(j) for j in s)}}}")
     if not report.equivalent:
@@ -439,9 +452,8 @@ def cmd_convert(args):
 
 
 def cmd_validate(args):
-    from .formats import instance_of
     model = _load(args.model)
-    if not instance_of(model, "conventional", "ConventionalPWL"):
+    if _kind(model) != "conventional":
         _summary([
             ("kind", type(model).__name__),
             ("continuity", "continuous by construction"),
@@ -471,9 +483,9 @@ def cmd_validate(args):
 
 def cmd_regions(args):
     from .formats import write_text_atomic
-    from .network import PwlNetwork, count_regions
+    from .network import count_regions
     model = _load(args.model)
-    if not isinstance(model, PwlNetwork):
+    if _kind(model) != "net":
         raise CliError(EXIT_INPUT, "region analysis needs a network model")
     box = _parse_box(args.box, model.in_dim) if args.box else \
         (np.full(model.in_dim, -1.0), np.full(model.in_dim, 1.0))
@@ -484,13 +496,9 @@ def cmd_regions(args):
     pairs.append(("hidden-units", model.hidden_unit_count))
     _summary(pairs)
     if args.out:
-        lines = []
-        for cert in result.certificates:
-            row = [repr(float(v)) for v in cert.point]
-            row += [repr(float(v)) for v in cert.jacobian.ravel()]
-            row += [repr(float(v)) for v in cert.bias.ravel()]
-            lines.append(",".join(row))
-        write_text_atomic(args.out, "\n".join(lines) + ("\n" if lines else ""))
+        rows = [np.concatenate([c.point, c.jacobian.ravel(), c.bias.ravel()])
+                for c in result.certificates]
+        write_text_atomic(args.out, _csv_block(np.array(rows)) if rows else "")
     return EXIT_OK
 
 

@@ -15,7 +15,7 @@ from math import comb
 
 import numpy as np
 
-from .affine import as_points, as_vector
+from .affine import as_box, as_points, as_vector
 from .errors import (
     CoverageGapError,
     DimensionMismatchError,
@@ -150,19 +150,10 @@ class Region:
 
 
 def box_region(lo, hi, label=-1):
-    """Axis-aligned box as a Region."""
-    lo = np.atleast_1d(np.asarray(lo, dtype=float))
-    hi = np.atleast_1d(np.asarray(hi, dtype=float))
-    if lo.shape != hi.shape or np.any(lo >= hi):
-        raise ValueError("box bounds must satisfy lo < hi componentwise")
-    n = lo.shape[0]
-    hs = []
-    for i in range(n):
-        e = np.zeros(n)
-        e[i] = 1.0
-        hs.append(Halfspace(e, lo[i]))
-        hs.append(Halfspace(-e, -hi[i]))
-    return Region(hs, label)
+    """Axis-aligned box as a Region; the bounds as ``affine.as_box`` takes them."""
+    lo, hi = as_box((lo, hi), np.size(lo))
+    return Region([h for e, a, b in zip(np.eye(lo.shape[0]), lo, hi)
+                   for h in (Halfspace(e, a), Halfspace(-e, -b))], label)
 
 
 def _default_box(n):

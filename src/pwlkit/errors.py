@@ -74,7 +74,7 @@ class BudgetExceededError(PwlError):
         self.units = int(units)
         self.limit = int(limit)
         super().__init__(
-            f"{units} hidden units exceed the exact-enumeration budget of {limit}"
+            f"{units} hidden units exceed the pattern-enumeration budget of {limit}"
         )
 
 

@@ -440,7 +440,7 @@ def _read_network(r, fields):
         raise ParseError(f"bad network: {e}", header) from None
 
 
-# header: (pwlkit module, class, reader, writer); ``serialize`` tries the
+# header: (pwlkit module, class, reader, writer); ``kind_of`` tries the
 # classes in this order
 _KINDS = {
     "pwl-conventional": ("conventional", "ConventionalPWL", _read_conventional,
@@ -458,22 +458,20 @@ _KINDS = {
 }
 
 
-def instance_of(obj, module, name):
-    """``isinstance(obj, pwlkit.<module>.<name>)``, without importing ``module``.
-
-    An object's class is defined before the object exists, so while the
-    module is not loaded nothing can be an instance of its classes.
-    """
-    loaded = sys.modules.get(f"{__package__}.{module}")
-    return loaded is not None and isinstance(obj, getattr(loaded, name))
+def kind_of(model):
+    """The ``_KINDS`` header ``model`` is written under, e.g. ``"pwl-hh"``; only
+    loaded modules are searched, as no object is of a class not yet loaded."""
+    for header, (module, name, _, _) in _KINDS.items():
+        loaded = sys.modules.get(f"{__package__}.{module}")
+        if loaded is not None and isinstance(model, getattr(loaded, name)):
+            return header
+    raise TypeError(f"no text format for {type(model).__name__}")
 
 
 def serialize(model):
     """Render any supported model to its text format."""
-    for header, (module, name, _, write) in _KINDS.items():
-        if instance_of(model, module, name):
-            return f"{header} v1 " + "\n".join(write(model)) + "\n"
-    raise TypeError(f"no text format for {type(model).__name__}")
+    header = kind_of(model)
+    return f"{header} v1 " + "\n".join(_KINDS[header][3](model)) + "\n"
 
 
 def deserialize(text):

@@ -26,7 +26,7 @@ from .errors import (
     NonFiniteLossError,
 )
 
-# Exact pattern enumeration refuses nets with more hidden units than this.
+# Pattern enumeration refuses nets with more hidden units than this.
 ENUMERATION_BUDGET = 20
 
 

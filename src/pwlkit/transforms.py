@@ -142,7 +142,7 @@ def dc_prune(f, box, density=33, margin=1e-9):
     This is a grid-certified reduction: a row is removed only when it sits
     below the side's max by more than ``margin`` at every probe point.
     """
-    lo, hi = box
+    lo, hi = as_box(box, f.dim)
     pts = grid_points(lo, hi, density)
     H = np.column_stack([pts, np.ones(pts.shape[0])])
 
@@ -272,6 +272,8 @@ def lattice_from_conventional(model, probe_density=33, box=None):
     and no piece crosses piece ``i`` inside region ``i``; a ``probe_density``
     grid over ``box`` (by default the ``domain_box``) verifies it.
     """
+    if box is not None:
+        box = as_box(box, model.dimension)
     cont = check_continuity(model)
     if not cont.ok:
         raise DiscontinuousModelError(

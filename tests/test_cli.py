@@ -268,9 +268,10 @@ class TestRegions:
         init_params(net, seed=0)
         path = tmp_path / "big.txt"
         save_model(net, path)
-        code, _, _ = run(capsys, "regions", "--model", path,
-                         "--box=-1:1,-1:1")
+        code, _, err = run(capsys, "regions", "--model", path,
+                           "--box=-1:1,-1:1")
         assert code == 6
+        assert err == "25 hidden units exceed the pattern-enumeration budget of 20\n"
 
 
 class TestEquiv:

@@ -10,7 +10,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from pwlkit.cli import MAX_GRID_POINTS, UsageError, _parse_grid, main
+from pwlkit.affine import mesh_points
+from pwlkit.cli import MAX_GRID_POINTS, UsageError, _grid_axes, main
+from pwlkit.conventional import box_region
 from pwlkit.errors import InvalidInputError, PwlError
 from pwlkit.formats import ParseError, deserialize, save_model, serialize
 from pwlkit.network import (
@@ -21,7 +23,12 @@ from pwlkit.network import (
     init_params,
     network_from_sizes,
 )
-from pwlkit.transforms import check_equivalence
+from pwlkit.transforms import (
+    check_equivalence,
+    dc_from_model,
+    dc_prune,
+    lattice_from_conventional,
+)
 
 
 def run(capsys, *argv):
@@ -100,7 +107,7 @@ def test_wide_maxout_round_trips_through_the_cli(capsys, tmp_path):
 
 class TestGridCap:
     def test_benchmark_largest_grid_is_accepted(self):
-        pts = _parse_grid("-1.0:1.0:0.00625,-1.0:1.0:0.00625")
+        pts = mesh_points(_grid_axes("-1.0:1.0:0.00625,-1.0:1.0:0.00625"))
         assert pts.shape == (103041, 2)
         assert pts[0].tolist() == [-1.0, -1.0] and pts[-1].tolist() == [1.0, 1.0]
 
@@ -110,7 +117,7 @@ class TestGridCap:
         tracemalloc.start()
         try:
             with pytest.raises(UsageError, match=f"points, the limit is {MAX_GRID_POINTS}"):
-                _parse_grid(spec)
+                mesh_points(_grid_axes(spec))
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -121,7 +128,7 @@ class TestGridCap:
                                       "-1e308:1e308:1"])
     def test_malformed_grid_is_a_usage_error(self, spec):
         with pytest.raises(UsageError):
-            _parse_grid(spec)
+            mesh_points(_grid_axes(spec))
 
     def test_cli_exits_64(self, capsys, tmp_path):
         path = tmp_path / "net.txt"
@@ -340,6 +347,7 @@ BAD_BOXES = {
     "nan-lower-bound": ([np.nan, -1.0], [1.0, 1.0]),
     "inf-upper-bound": ([-1.0, -1.0], [1.0, np.inf]),
     "wrong-dimension": ([-1.0, -1.0, -1.0], [1.0, 1.0, 1.0]),
+    "too-few-axes": ([-1.0], [1.0]),
     "not-a-pair": ([-1.0, -1.0],),
     "not-numbers": (["a", "b"], [1.0, 1.0]),
 }
@@ -373,6 +381,27 @@ def test_check_equivalence_refuses_a_bad_box(name):
     net = small_relu_net()
     with pytest.raises(InvalidInputError):
         check_equivalence(net, net, BAD_BOXES[name])
+
+
+@pytest.mark.parametrize("name", sorted(BAD_BOXES))
+def test_dc_prune_refuses_a_bad_box(name):
+    dc = dc_from_model(deserialize((DATA / "plateau-nested.txt").read_text()))
+    with pytest.raises(InvalidInputError):
+        dc_prune(dc, BAD_BOXES[name])
+
+
+@pytest.mark.parametrize("name", sorted(BAD_BOXES))
+def test_lattice_construction_refuses_a_bad_box(name):
+    with pytest.raises(InvalidInputError):
+        lattice_from_conventional(deserialize(TRI8), box=BAD_BOXES[name])
+
+
+@pytest.mark.parametrize("lo,hi", [([np.nan], [1.0]), ([1.0], [-1.0]),
+                                   ([-1.0, 0.5], [1.0, 0.5]), ([-1.0, -1.0], [1.0, np.inf]),
+                                   ([-1.0, -1.0], [1.0])])
+def test_box_region_refuses_a_bad_box(lo, hi):
+    with pytest.raises(InvalidInputError):
+        box_region(lo, hi)
 
 
 def test_good_boxes_of_lists_arrays_and_scalars_are_accepted():
